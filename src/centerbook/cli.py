@@ -220,28 +220,16 @@ def _cmd_evaluate(args) -> int:
     rows = [["bet", "offered", "delta", "decision"]]
     for bet in book.bets:
         if isinstance(bet.offer, PreExperiment):
-            decision = evaluate_pre_experiment(agent, e, bet)
-            rows.append(
-                [
-                    bet.id,
-                    "pre",
-                    format_rational(decision.delta, args.decimal),
-                    "accept" if decision.accept else "reject",
-                ]
-            )
-            continue
-        for state in e.information_states():
-            if not offered_at_state(e, bet.offer, state):
-                continue
-            decision = evaluate_offer(agent, e, state, bet)
-            rows.append(
-                [
-                    bet.id,
-                    f"{state.observation} ({state.agent})",
-                    format_rational(decision.delta, args.decimal),
-                    "accept" if decision.accept else "reject",
-                ]
-            )
+            points = [("pre", evaluate_pre_experiment(agent, e, bet))]
+        else:
+            points = [
+                (f"{state.observation} ({state.agent})", evaluate_offer(agent, e, state, bet))
+                for state in e.information_states()
+                if offered_at_state(e, bet.offer, state)
+            ]
+        for offered, decision in points:
+            verdict = "accept" if decision.accept else "reject"
+            rows.append([bet.id, offered, format_rational(decision.delta, args.decimal), verdict])
     print(render_rows(rows, args.format), end="")
     return EXIT_OK
 

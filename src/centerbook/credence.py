@@ -21,7 +21,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvariantError
-from .model import Center, Experiment, InformationState, consistent_centers
+from .model import (
+    Center,
+    Experiment,
+    InformationState,
+    consistent_centers,
+    count_by_world,
+)
 
 
 class CredenceRule(Enum):
@@ -64,27 +70,21 @@ def credence(rule: CredenceRule, e: Experiment, i: InformationState) -> Centered
             f"for agent {i.agent!r}"
         )
 
-    per_world: dict[str, list[Center]] = {}
-    for center in centers:
-        per_world.setdefault(center.world, []).append(center)
-
+    counts = count_by_world(e, [i])
     world_weights: dict[str, Fraction] = {}
-    for world_id, world_centers in per_world.items():
+    for world_id, count in counts.items():
         prior = e.world(world_id).prior
         if rule is CredenceRule.HALFER_STANDARD:
             weight = prior
         elif rule is CredenceRule.HALFER_RANDOM_AWAKENING:
-            agent_awakenings = sum(
-                1 for c in e.centers if c.world == world_id and c.agent == i.agent
-            )
-            weight = prior * Fraction(len(world_centers), agent_awakenings)
+            weight = prior * Fraction(count, e.awakenings(world_id, i.agent))
         else:
-            weight = prior * len(world_centers)
+            weight = prior * count
         world_weights[world_id] = weight
 
     normalizer = sum(world_weights.values(), Fraction(0))
-    weights = tuple(
-        (center, world_weights[center.world] / normalizer / len(per_world[center.world]))
-        for center in centers
-    )
-    return CenteredCredence(weights)
+    shares = {
+        world_id: weight / normalizer / counts[world_id]
+        for world_id, weight in world_weights.items()
+    }
+    return CenteredCredence(tuple((center, shares[center.world]) for center in centers))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
+from functools import lru_cache, partial
+from typing import Mapping, NamedTuple, Union
 
 from .credence import CredenceRule, credence
 from .errors import InvariantError, OfferError, UnjustifiedClassError
@@ -27,6 +27,7 @@ from .model import (
     Experiment,
     InformationState,
     consistent_centers,
+    count_by_world,
     verify_alikeness,
 )
 
@@ -150,24 +151,14 @@ def _class_check(e: Experiment, cls: frozenset[str]):
     return verify_alikeness(e, cls)
 
 
-def _acceptance_multiplier(
-    e: Experiment,
-    i: InformationState,
-    offer: OfferRule,
-    linkage: LinkageModel,
-    world_id: str,
-) -> Fraction:
-    """Net acceptances the choice controls in a world: same-state plus linked."""
-    own = sum(
-        1
-        for c in e.centers
-        if c.world == world_id
-        and c.observation == i.observation
-        and c.agent == i.agent
-        and offered_at_center(offer, c)
-    )
+def _acceptance_multipliers(
+    e: Experiment, i: InformationState, offer: OfferRule, linkage: LinkageModel
+) -> dict[str, Fraction]:
+    """Net acceptances the choice controls per world: same-state plus linked."""
+    offered = partial(offered_at_center, offer)
+    own = count_by_world(e, [i], offered)
     if isinstance(linkage, SameInfoOnly):
-        return Fraction(own)
+        return own
     cls = e.alikeness_class_of(i.observation)
     if len(cls) > 1:
         check = _class_check(e, cls)
@@ -175,15 +166,10 @@ def _acceptance_multiplier(
             raise UnjustifiedClassError(
                 f"alikeness class {sorted(cls)} is not justified: {check.reason}"
             )
-    linked = sum(
-        1
-        for c in e.centers
-        if c.world == world_id
-        and c.observation in cls
-        and (c.observation, c.agent) != (i.observation, i.agent)
-        and offered_at_center(offer, c)
-    )
-    return own + (2 * linkage.rho - 1) * linked
+    class_states = [InformationState(obs, agent) for obs in cls for agent in e.agents]
+    linked = count_by_world(e, [state for state in class_states if state != i], offered)
+    factor = 2 * linkage.rho - 1
+    return {w: own.get(w, 0) + factor * linked.get(w, 0) for w in own.keys() | linked.keys()}
 
 
 def decision_weights(
@@ -191,21 +177,39 @@ def decision_weights(
 ) -> dict[str, Fraction]:
     """Per-world weight on the bet's net payout: credence times multiplier.
 
-    The delta of any bet with this offer rule is the weight-sum of its
-    per-world nets, which keeps evaluation and synthesis on one formula.
+    Only worlds of positive credence appear. Evaluation and synthesis both
+    turn these weights into a delta through ``delta_form``.
     """
-    dist = credence(agent.rule, e, i)
     weights: dict[str, Fraction] = {}
-    for world in e.worlds:
-        world_credence = dist.world(world.id)
-        if world_credence == 0:
-            continue
-        if isinstance(agent.theory, CDT):
-            multiplier = Fraction(1)
-        else:
-            multiplier = _acceptance_multiplier(e, i, offer, agent.theory.linkage, world.id)
-        weights[world.id] = world_credence * multiplier
-    return weights
+    for center, value in credence(agent.rule, e, i).items():
+        world_id = center.world
+        weights[world_id] = weights[world_id] + value if world_id in weights else value
+    if isinstance(agent.theory, CDT):
+        return weights
+    multipliers = _acceptance_multipliers(e, i, offer, agent.theory.linkage)
+    return {w: value * multipliers.get(w, 0) for w, value in weights.items()}
+
+
+class DeltaForm(NamedTuple):
+    """A delta as a linear form in one bet's payout and cost."""
+
+    payout_coef: Fraction
+    cost_coef: Fraction
+
+    def at(self, payout: Fraction, cost: Fraction) -> Fraction:
+        return self.payout_coef * payout + self.cost_coef * cost
+
+
+def delta_form(weights: Mapping[str, Fraction], payoff_event: frozenset[str]) -> DeltaForm:
+    """The delta sum_w weights[w] * net(w) as (payout_coef, cost_coef).
+
+    As net(w) = payout * [w in event] - cost, payout_coef is the weight on
+    the payoff event and cost_coef is minus the total weight.
+    """
+    return DeltaForm(
+        sum((weights[w] for w in weights if w in payoff_event), Fraction(0)),
+        -sum(weights.values(), Fraction(0)),
+    )
 
 
 def _decide(tie_rule: str, delta: Fraction) -> Decision:
@@ -213,10 +217,7 @@ def _decide(tie_rule: str, delta: Fraction) -> Decision:
     return Decision(accept, delta)
 
 
-def evaluate_offer(
-    agent: AgentSpec, e: Experiment, i: InformationState, b: Bet
-) -> Decision:
-    """Decide a bet offered in-experiment at information state ``i``."""
+def _require_offered(e: Experiment, i: InformationState, b: Bet) -> None:
     if isinstance(b.offer, PreExperiment):
         raise OfferError(
             f"bet {b.id!r} is a pre-experiment bet; use evaluate_pre_experiment"
@@ -226,17 +227,23 @@ def evaluate_offer(
             f"bet {b.id!r} is not offered at observation {i.observation!r} "
             f"for agent {i.agent!r}"
         )
-    weights = decision_weights(agent, e, i, b.offer)
-    delta = sum((weight * b.net(world_id) for world_id, weight in weights.items()), Fraction(0))
-    return _decide(agent.tie_rule, delta)
+
+
+def evaluate_offer(
+    agent: AgentSpec, e: Experiment, i: InformationState, b: Bet
+) -> Decision:
+    """Decide a bet offered in-experiment at information state ``i``."""
+    _require_offered(e, i, b)
+    form = delta_form(decision_weights(agent, e, i, b.offer), b.payoff_event)
+    return _decide(agent.tie_rule, form.at(b.payout, b.cost))
 
 
 def evaluate_pre_experiment(agent: AgentSpec, e: Experiment, b: Bet) -> Decision:
     """Decide a bet offered once before the experiment; theories agree here."""
     if not isinstance(b.offer, PreExperiment):
         raise OfferError(f"bet {b.id!r} is offered in-experiment, not before it")
-    delta = sum((world.prior * b.net(world.id) for world in e.worlds), Fraction(0))
-    return _decide(agent.tie_rule, delta)
+    form = delta_form({w.id: w.prior for w in e.worlds}, b.payoff_event)
+    return _decide(agent.tie_rule, form.at(b.payout, b.cost))
 
 
 def briggs_condition(e: Experiment, b: Bet, i: InformationState) -> Fraction:
@@ -247,31 +254,11 @@ def briggs_condition(e: Experiment, b: Bet, i: InformationState) -> Fraction:
     On experiments where every awakening carries the same information this
     agrees in sign with both the causal thirder and the evidential halfer.
     """
-    if isinstance(b.offer, PreExperiment):
-        raise OfferError(
-            f"bet {b.id!r} is a pre-experiment bet; use evaluate_pre_experiment"
-        )
-    if not offered_at_state(e, b.offer, i):
-        raise OfferError(
-            f"bet {b.id!r} is not offered at observation {i.observation!r} "
-            f"for agent {i.agent!r}"
-        )
-    counts = {
-        world.id: sum(
-            1
-            for c in e.centers
-            if c.world == world.id
-            and c.observation == i.observation
-            and c.agent == i.agent
-        )
-        for world in e.worlds
-    }
-    surviving = [world for world in e.worlds if counts[world.id] > 0]
-    normalizer = sum((world.prior for world in surviving), Fraction(0))
-    return sum(
-        (world.prior / normalizer * counts[world.id] * b.net(world.id) for world in surviving),
-        Fraction(0),
-    )
+    _require_offered(e, i, b)
+    counts = count_by_world(e, [i])
+    normalizer = sum((e.world(w).prior for w in counts), Fraction(0))
+    weights = {w: e.world(w).prior / normalizer * n for w, n in counts.items()}
+    return delta_form(weights, b.payoff_event).at(b.payout, b.cost)
 
 
 def rho_threshold(

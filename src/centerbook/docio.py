@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import DocumentError
+from .rationals import json_integer
 
 
 def read_document(source: object) -> tuple[dict, str]:
@@ -20,7 +21,7 @@ def read_document(source: object) -> tuple[dict, str]:
         except OSError as exc:
             raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=json_integer)
         except json.JSONDecodeError as exc:
             raise DocumentError(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"

@@ -26,7 +26,7 @@ from .decision import (
 )
 from .docio import list_field, read_document, require_keys, string_field
 from .errors import DocumentError, InvariantError, LegitimacyError, UnknownLabelError
-from .model import Experiment, InformationState
+from .model import Center, Experiment, InformationState, consistent_centers
 from .rationals import parse_rational
 
 PRE_SLOT = "pre"
@@ -136,21 +136,18 @@ def check_legitimacy(e: Experiment, book: Book) -> LegitimacyCheck:
     """
     validate_book(e, book)
     for bet in book.in_experiment_bets:
-        by_state: dict[tuple[str, str], list] = {}
-        for center in e.centers:
-            by_state.setdefault((center.observation, center.agent), []).append(center)
-        for (observation, agent), centers in by_state.items():
+        for state in e.information_states():
+            centers = consistent_centers(e, state)
             offered = [c for c in centers if offered_at_center(bet.offer, c)]
-            unoffered = [c for c in centers if not offered_at_center(bet.offer, c)]
-            if offered and unoffered:
-                skipped = unoffered[0]
+            if 0 < len(offered) < len(centers):
+                skipped = next(c for c in centers if c not in offered)
                 same_world = [c for c in offered if c.world == skipped.world]
                 shown = same_world[0] if same_world else offered[0]
                 return LegitimacyCheck(
                     False,
                     f"bet {bet.id!r} is offered at center ({shown.world}, {shown.slot}, "
                     f"agent {shown.agent}) but not at ({skipped.world}, {skipped.slot}, "
-                    f"agent {skipped.agent}); both carry observation {observation!r}, "
+                    f"agent {skipped.agent}); both carry observation {state.observation!r}, "
                     f"so the offer process uses information the agent does not have",
                 )
     return LegitimacyCheck(True)
@@ -166,25 +163,23 @@ def simulate_book(
         if not check:
             raise LegitimacyError(check.reason)
 
-    decisions: dict[object, Decision] = {}
+    decisions: dict[object, Decision] = {
+        (PRE_SLOT, bet.id): evaluate_pre_experiment(agent, e, bet) for bet in book.pre_bets
+    }
 
-    def decide_pre(bet: Bet) -> Decision:
-        key = (PRE_SLOT, bet.id)
+    def decide_at(center: Center, bet: Bet) -> Decision:
+        key = (center.observation, center.agent, bet.id)
         if key not in decisions:
-            decisions[key] = evaluate_pre_experiment(agent, e, bet)
-        return decisions[key]
-
-    def decide_at(state: InformationState, bet: Bet) -> Decision:
-        key = (state.observation, state.agent, bet.id)
-        if key not in decisions:
+            state = InformationState(center.observation, center.agent)
             decisions[key] = evaluate_offer(agent, e, state, bet)
         return decisions[key]
 
+    pre_bets, in_experiment_bets = book.pre_bets, book.in_experiment_bets
     entries: dict[str, tuple[LedgerEntry, ...]] = {}
     for world in e.worlds:
         world_entries: list[LedgerEntry] = []
-        for bet in book.pre_bets:
-            if decide_pre(bet).accept:
+        for bet in pre_bets:
+            if decisions[PRE_SLOT, bet.id].accept:
                 holder = bet.offer.agent or e.agents[0]
                 world_entries.append(
                     LedgerEntry(bet.id, PRE_SLOT, holder, bet.net(world.id))
@@ -194,11 +189,10 @@ def simulate_book(
                 center = e.center_at(world.id, slot, agent_label)
                 if center is None:
                     continue
-                state = InformationState(center.observation, center.agent)
-                for bet in book.in_experiment_bets:
+                for bet in in_experiment_bets:
                     if not offered_at_center(bet.offer, center):
                         continue
-                    if decide_at(state, bet).accept:
+                    if decide_at(center, bet).accept:
                         world_entries.append(
                             LedgerEntry(bet.id, slot, agent_label, bet.net(world.id))
                         )

@@ -15,9 +15,11 @@ as they are built, so an Experiment in hand is always a consistent one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Callable, Iterable
 
 from .docio import list_field, read_document, require_keys, string_field
 from .errors import DocumentError, InvariantError, UnknownLabelError
@@ -58,16 +60,36 @@ class Experiment:
     centers: tuple[Center, ...]
     alikeness: tuple[frozenset[str], ...]
 
+    # Lookup tables, filled once after validation; outside equality and repr.
+    _world_by_id: dict = field(init=False, repr=False, compare=False)
+    _center_by_triple: dict = field(init=False, repr=False, compare=False)
+    _centers_by_state: dict = field(init=False, repr=False, compare=False)
+    _agent_counts: Counter = field(init=False, repr=False, compare=False)
+    _observations: frozenset = field(init=False, repr=False, compare=False)
+    _states: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         _validate(self)
+        by_state: dict[tuple[str, str], list[Center]] = {}
+        for c in self.centers:
+            by_state.setdefault((c.observation, c.agent), []).append(c)
+        tables = {
+            "_world_by_id": {world.id: world for world in self.worlds},
+            "_center_by_triple": {(c.world, c.slot, c.agent): c for c in self.centers},
+            "_centers_by_state": {key: tuple(group) for key, group in by_state.items()},
+            "_agent_counts": Counter((c.world, c.agent) for c in self.centers),
+            "_observations": frozenset(observation for observation, _ in by_state),
+            "_states": tuple(InformationState(*key) for key in by_state),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
-    # Lookups below are linear scans; experiments are desk-sized by design.
+    # Indexed: worlds by id, centers by (world, slot, agent) and by state, per-agent counts.
 
     def world(self, world_id: str) -> World:
-        for world in self.worlds:
-            if world.id == world_id:
-                return world
-        raise UnknownLabelError(f"unknown world {world_id!r}")
+        if world_id not in self._world_by_id:
+            raise UnknownLabelError(f"unknown world {world_id!r}")
+        return self._world_by_id[world_id]
 
     @property
     def world_ids(self) -> tuple[str, ...]:
@@ -75,16 +97,19 @@ class Experiment:
 
     @property
     def observations(self) -> frozenset[str]:
-        return frozenset(center.observation for center in self.centers)
+        return self._observations
 
     def centers_in(self, world_id: str) -> tuple[Center, ...]:
-        return tuple(c for c in self.centers if c.world == world_id)
+        """A world's centers slot by slot, agents in declaration order within a slot."""
+        found = (self.center_at(world_id, s, a) for s in self.slots for a in self.agents)
+        return tuple(center for center in found if center is not None)
 
     def center_at(self, world_id: str, slot: str, agent: str) -> Center | None:
-        for center in self.centers:
-            if (center.world, center.slot, center.agent) == (world_id, slot, agent):
-                return center
-        return None
+        return self._center_by_triple.get((world_id, slot, agent))
+
+    def awakenings(self, world_id: str, agent: str) -> int:
+        """How many centers the agent has in the world."""
+        return self._agent_counts[world_id, agent]
 
     def alikeness_class_of(self, observation: str) -> frozenset[str]:
         for cls in self.alikeness:
@@ -94,12 +119,7 @@ class Experiment:
 
     def information_states(self) -> tuple[InformationState, ...]:
         """Every realizable (observation, agent) pair, in first-occurrence order."""
-        seen: list[InformationState] = []
-        for center in self.centers:
-            state = InformationState(center.observation, center.agent)
-            if state not in seen:
-                seen.append(state)
-        return tuple(seen)
+        return self._states
 
 
 @dataclass(frozen=True)
@@ -170,15 +190,31 @@ def _validate(e: Experiment) -> None:
         )
 
 
-def consistent_centers(e: Experiment, i: InformationState) -> tuple[Center, ...]:
-    """The centers an agent in state ``i`` cannot tell apart, in declaration order."""
+def _check_state(e: Experiment, i: InformationState) -> None:
     if i.observation not in e.observations:
         raise UnknownLabelError(f"unknown observation label {i.observation!r}")
     if i.agent not in e.agents:
         raise UnknownLabelError(f"unknown agent label {i.agent!r}")
-    return tuple(
-        c for c in e.centers if c.observation == i.observation and c.agent == i.agent
-    )
+
+
+def consistent_centers(e: Experiment, i: InformationState) -> tuple[Center, ...]:
+    """The centers an agent in state ``i`` cannot tell apart, in declaration order."""
+    _check_state(e, i)
+    return e._centers_by_state.get((i.observation, i.agent), ())
+
+
+def count_by_world(
+    e: Experiment,
+    states: Iterable[InformationState],
+    keep: Callable[[Center], bool] | None = None,
+) -> dict[str, int]:
+    """Per world with any, the centers in ``states`` that pass ``keep`` (all if None)."""
+    counts: dict[str, int] = {}
+    for state in states:
+        for c in e._centers_by_state.get((state.observation, state.agent), ()):
+            if keep is None or keep(c):
+                counts[c.world] = counts.get(c.world, 0) + 1
+    return counts
 
 
 def count_centers(
@@ -187,18 +223,9 @@ def count_centers(
     """Centers in a world, optionally restricted to those consistent with ``i``."""
     e.world(world_id)
     if i is None:
-        return sum(1 for c in e.centers if c.world == world_id)
-    if i.observation not in e.observations:
-        raise UnknownLabelError(f"unknown observation label {i.observation!r}")
-    if i.agent not in e.agents:
-        raise UnknownLabelError(f"unknown agent label {i.agent!r}")
-    return sum(
-        1
-        for c in e.centers
-        if c.world == world_id
-        and c.observation == i.observation
-        and c.agent == i.agent
-    )
+        return sum(e.awakenings(world_id, agent) for agent in e.agents)
+    _check_state(e, i)
+    return count_by_world(e, [i]).get(world_id, 0)
 
 
 def verify_alikeness(e: Experiment, observation_class) -> AlikenessCheck:
@@ -330,11 +357,7 @@ def load_experiment(source) -> Experiment:
                 raise DocumentError(f"{sub}: expected a list of observation labels")
             alikeness.append(frozenset(entry))
     else:
-        seen: list[str] = []
-        for center in centers:
-            if center.observation not in seen:
-                seen.append(center.observation)
-        alikeness = [frozenset([obs]) for obs in seen]
+        alikeness = [frozenset([obs]) for obs in dict.fromkeys(c.observation for c in centers)]
 
     return Experiment(
         worlds=tuple(worlds),

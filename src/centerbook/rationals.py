@@ -18,6 +18,39 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
 
+# Longest integer literal accepted: CPython's default int(str) limit, on every version.
+MAX_DIGITS = 4300
+
+
+class OversizeInteger:
+    """A JSON integer literal over MAX_DIGITS digits, left for its field to reject."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return abbreviate(self.text)
+
+
+def json_integer(text: str) -> int | OversizeInteger:  # json.loads parse_int hook
+    return OversizeInteger(text) if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
+def abbreviate(text: str) -> str:
+    """Long input shortened to a prefix plus its length, for error messages."""
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def parse_integer(text: str, where: str) -> int:
+    """int(text), refusing a decimal literal longer than MAX_DIGITS digits."""
+    digits = text.strip().lstrip("+-")
+    if digits.isdecimal() and len(digits) > MAX_DIGITS:
+        raise DocumentError(
+            f"{where}: integer {digits[:20]}... has {len(digits)} digits, "
+            f"more than the {MAX_DIGITS} accepted"
+        )
+    return int(text)
+
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
     """Parse "p/q" (or a bare integer) into a Fraction, rejecting decimals."""
@@ -27,6 +60,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, OversizeInteger):
+        return Fraction(parse_integer(value.text, where))
     if isinstance(value, float):
         raise DocumentError(
             f'{where}: decimal numbers are not accepted, write a "p/q" string'
@@ -35,11 +70,14 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         text = value.strip()
         if _RATIONAL_RE.match(text):
             num, slash, den = (part.strip() for part in text.partition("/"))
+            numerator = parse_integer(num, where)
             if not slash:
-                return Fraction(int(num))
-            if int(den) == 0:
-                raise DocumentError(f"{where}: zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
+                return Fraction(numerator)
+            denominator = parse_integer(den, where)
+            if denominator == 0:
+                raise DocumentError(f"{where}: zero denominator in {abbreviate(value)!r}")
+            return Fraction(numerator, denominator)
+        value = abbreviate(value)
     raise DocumentError(f'{where}: {value!r} is not a "p/q" rational')
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import lcm, prod
 from typing import Mapping
 
 from .decision import (
@@ -25,6 +26,9 @@ from .decision import (
     PreExperiment,
     TieRule,
     decision_weights,
+    delta_form,
+    offered_at_center,
+    offered_at_state,
 )
 from .docio import list_field, read_document, require_keys, string_field
 from .dutchbook import (
@@ -44,8 +48,8 @@ from .errors import (
     LegitimacyError,
 )
 from .lp import find_feasible_point
-from .model import Experiment
-from .rationals import format_rational, parse_rational
+from .model import Experiment, InformationState, count_by_world
+from .rationals import abbreviate, format_rational, parse_integer, parse_rational
 
 DEFAULT_BOUNDS = (Fraction(0), Fraction(100))
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -173,57 +177,42 @@ class SynthesisResult:
 
 def _offer_counts(e: Experiment, bet: TemplateBet) -> dict[str, int]:
     """How many times the bet is offered in each world under accept-all."""
-    from .decision import offered_at_center
-
     if isinstance(bet.offer, PreExperiment):
         return {world_id: 1 for world_id in e.world_ids}
-    return {
-        world_id: sum(
-            1
-            for c in e.centers
-            if c.world == world_id and offered_at_center(bet.offer, c)
-        )
-        for world_id in e.world_ids
-    }
+    offer = bet.offer
+    agents = e.agents if offer.agent is None else (offer.agent,)
+    states = [InformationState(obs, agent) for obs in offer.observations for agent in agents]
+    return count_by_world(e, states, partial(offered_at_center, offer))
 
 
 def _acceptance_weightings(
     agent: AgentSpec, e: Experiment, bet: TemplateBet
 ) -> list[tuple[str, dict[str, Fraction]]]:
     """Per decision point: a label and the per-world weights on the bet's net."""
-    from .decision import offered_at_state
-
     if isinstance(bet.offer, PreExperiment):
         return [("pre-experiment", {w.id: w.prior for w in e.worlds})]
-    points = []
-    for state in e.information_states():
-        if offered_at_state(e, bet.offer, state):
-            label = f"({state.observation}, {state.agent})"
-            points.append((label, decision_weights(agent, e, state, bet.offer)))
-    return points
+    return [
+        (f"({state.observation}, {state.agent})", decision_weights(agent, e, state, bet.offer))
+        for state in e.information_states()
+        if offered_at_state(e, bet.offer, state)
+    ]
 
 
 def _delta_terms(
     bet: TemplateBet, weights: dict[str, Fraction]
 ) -> tuple[list[tuple[str, Fraction]], Fraction]:
     """Split a delta into symbolic terms plus a constant, given fixed fields."""
-    payout_coef = sum(
-        (weight for world_id, weight in weights.items() if world_id in bet.payoff_event),
-        Fraction(0),
-    )
-    cost_coef = -sum(weights.values(), Fraction(0))
+    form = delta_form(weights, bet.payoff_event)
     terms: list[tuple[str, Fraction]] = []
     constant = Fraction(0)
-    if bet.payout is None:
-        if payout_coef != 0:
-            terms.append((f"{bet.id}.payout", payout_coef))
-    else:
-        constant += payout_coef * bet.payout
-    if bet.cost is None:
-        if cost_coef != 0:
-            terms.append((f"{bet.id}.cost", cost_coef))
-    else:
-        constant += cost_coef * bet.cost
+    for name, coef, value in (
+        ("payout", form.payout_coef, bet.payout),
+        ("cost", form.cost_coef, bet.cost),
+    ):
+        if value is not None:
+            constant += coef * value
+        elif coef != 0:
+            terms.append((f"{bet.id}.{name}", coef))
     return terms, constant
 
 
@@ -235,24 +224,17 @@ def build_constraints(
     for bet in template.bets:
         for label, weights in _acceptance_weightings(agent, e, bet):
             terms, constant = _delta_terms(bet, weights)
-            constraints.append(
-                LinearConstraint(
-                    f"accept {bet.id} at {label}",
-                    tuple(terms),
-                    ">=",
-                    epsilon - constant,
-                )
-            )
+            accept = f"accept {bet.id} at {label}"
+            constraints.append(LinearConstraint(accept, tuple(terms), ">=", epsilon - constant))
+    counts = {bet.id: _offer_counts(e, bet) for bet in template.bets}
     for world in e.worlds:
         terms: list[tuple[str, Fraction]] = []
         constant = Fraction(0)
         for bet in template.bets:
-            count = _offer_counts(e, bet)[world.id]
+            count = counts[bet.id].get(world.id, 0)
             if count == 0:
                 continue
-            bet_terms, bet_constant = _delta_terms(
-                bet, {world.id: Fraction(count)}
-            )
+            bet_terms, bet_constant = _delta_terms(bet, {world.id: Fraction(count)})
             terms.extend(bet_terms)
             constant += bet_constant
         constraints.append(
@@ -344,12 +326,8 @@ def immunity_grid_check(
     parameters = template.parameters()
 
     grids = {name: _grid_values(*bounds[name], step) for name in parameters}
-    points = 1
-    for name in parameters:
-        points *= len(grids[name])
-    spec = GridSpec(
-        parameters, tuple(bounds[name] for name in parameters), step, points
-    )
+    points = prod(len(grids[name]) for name in parameters)
+    spec = GridSpec(parameters, tuple(bounds[name] for name in parameters), step, points)
     if points > max_points:
         raise BudgetError(
             f"grid has {points} points, which exceeds the budget of {max_points}"
@@ -366,14 +344,10 @@ def immunity_grid_check(
     # point, with their per-world total contributions under accept-all.
     per_bet: list[list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]] = []
     for bet in template.bets:
-        forms = []
-        for _, weights in _acceptance_weightings(agent, e, bet):
-            payout_coef = sum(
-                (w for wid, w in weights.items() if wid in bet.payoff_event),
-                Fraction(0),
-            )
-            cost_coef = -sum(weights.values(), Fraction(0))
-            forms.append((payout_coef, cost_coef))
+        forms = [
+            delta_form(weights, bet.payoff_event)
+            for _, weights in _acceptance_weightings(agent, e, bet)
+        ]
         counts = _offer_counts(e, bet)
         cost_values = grids[f"{bet.id}.cost"] if bet.cost is None else [bet.cost]
         payout_values = (
@@ -382,20 +356,14 @@ def immunity_grid_check(
         candidates = []
         for cost in cost_values:
             for payout in payout_values:
-                delta_signs_ok = True
-                for payout_coef, cost_coef in forms:
-                    delta = payout_coef * payout + cost_coef * cost
-                    if not (delta > 0 or (delta == 0 and accept_at_zero)):
-                        delta_signs_ok = False
-                        break
-                if not delta_signs_ok:
-                    continue
-                contribution = tuple(
-                    counts[wid]
-                    * ((payout if wid in bet.payoff_event else Fraction(0)) - cost)
-                    for wid in world_ids
-                )
-                candidates.append((cost, payout, contribution))
+                deltas = (form.at(payout, cost) for form in forms)
+                if all(d > 0 or (d == 0 and accept_at_zero) for d in deltas):
+                    contribution = tuple(
+                        counts.get(wid, 0)
+                        * ((payout if wid in bet.payoff_event else Fraction(0)) - cost)
+                        for wid in world_ids
+                    )
+                    candidates.append((cost, payout, contribution))
         if not candidates:
             return SynthesisResult("infeasible_over_grid", grid=spec)
         per_bet.append(candidates)
@@ -423,14 +391,14 @@ def immunity_grid_check(
             best = min(contribution[k] for _, _, contribution in scaled[index])
             suffix_min[index][k] = suffix_min[index + 1][k] + best
 
-    def search(index: int, partial: tuple[int, ...]):
+    def search(index: int, sums: tuple[int, ...]):
         after = suffix_min[index + 1]
         last = index == n_bets - 1
         for candidate in scaled[index]:
             contribution = candidate[2]
             reachable = True
             for k in range(n_worlds):
-                if partial[k] + contribution[k] + after[k] >= 0:
+                if sums[k] + contribution[k] + after[k] >= 0:
                     reachable = False
                     break
             if not reachable:
@@ -439,7 +407,7 @@ def immunity_grid_check(
                 return [candidate]
             rest = search(
                 index + 1,
-                tuple(partial[k] + contribution[k] for k in range(n_worlds)),
+                tuple(sums[k] + contribution[k] for k in range(n_worlds)),
             )
             if rest is not None:
                 return [candidate] + rest
@@ -529,10 +497,10 @@ def parse_bounds(value, where: str) -> Bounds:
         if len(parts) != 2:
             raise DocumentError(f'{where}: expected "lo/hi" with integer ends')
         try:
-            return Fraction(int(parts[0].strip())), Fraction(int(parts[1].strip()))
+            return tuple(Fraction(parse_integer(part, where)) for part in parts)
         except ValueError as exc:
             raise DocumentError(
-                f'{where}: expected "lo/hi" with integer ends, got {value!r}; '
+                f'{where}: expected "lo/hi" with integer ends, got {abbreviate(value)!r}; '
                 f"use the [lo, hi] list form for fractional bounds"
             ) from exc
     if isinstance(value, list) and len(value) == 2:

@@ -13,11 +13,13 @@ from centerbook import (
     AgentSpec,
     AlikeClasses,
     Bet,
+    Book,
     Center,
     CredenceRule,
     Experiment,
     InformationState,
     OnObservation,
+    PreExperiment,
     SameInfoOnly,
     TieRule,
     credence,
@@ -173,3 +175,185 @@ def alikeness_by_exhaustive_search(e: Experiment, cls: set[str]) -> bool:
         if not extended:
             return False
     return True
+
+
+def random_multi_agent_experiment(rng: random.Random) -> Experiment:
+    """A small experiment with one or two agents and up to four observations.
+
+    Half the time the worlds come in mirrored pairs of equal prior, the twin
+    swapping "red" and "blue", and those two form a justified alikeness
+    class. Otherwise the observations are grouped into random classes, which
+    are usually unjustified when they are not singletons.
+    """
+    agents = ["alpha", "beta"][: rng.randint(1, 2)]
+    slots = [f"s{k}" for k in range(rng.randint(1, 3))]
+    pool = ["red", "blue", "green", "white"][: rng.randint(1, 4)]
+    mirrored = rng.random() < 0.5
+    swap = {"red": "blue", "blue": "red"}
+    worlds: list[tuple[str, int]] = []
+    centers: list[dict] = []
+    for k in range(rng.randint(1, 3)):
+        weight = rng.randint(1, 5)
+        base = [
+            (slot, agent, rng.choice(pool))
+            for slot in slots
+            for agent in agents
+            if rng.random() < 0.6
+        ]
+        twins = [(f"w{k}", base)]
+        if mirrored:
+            twins.append((f"v{k}", [(s_, a, swap.get(o, o)) for s_, a, o in base]))
+        for world_id, triples in twins:
+            worlds.append((world_id, weight))
+            centers += [
+                {"world": world_id, "slot": s_, "agent": a, "observation": o}
+                for s_, a, o in triples
+            ]
+    if not centers:
+        centers.append(
+            {"world": worlds[0][0], "slot": slots[0], "agent": agents[0], "observation": pool[0]}
+        )
+    used = sorted({c["observation"] for c in centers})
+    if mirrored and {"red", "blue"} <= set(used):
+        classes = [["red", "blue"]] + [[o] for o in used if o not in swap]
+    else:
+        rng.shuffle(used)
+        classes = []
+        for obs in used:
+            if classes and rng.random() < 0.5:
+                classes[-1].append(obs)
+            else:
+                classes.append([obs])
+    total = sum(weight for _, weight in worlds)
+    return load_experiment(
+        {
+            "worlds": [{"id": wid, "prior": f"{w}/{total}"} for wid, w in worlds],
+            "slots": slots,
+            "agents": agents,
+            "centers": centers,
+            "alikeness": classes,
+        }
+    )
+
+
+def random_agent(rng: random.Random) -> AgentSpec:
+    theory = rng.choice(
+        [CDT(), EDT(SameInfoOnly()), EDT(AlikeClasses(rng.choice([F(0), F(1, 3), F(1)])))]
+    )
+    tie = rng.choice([TieRule.REJECT_AT_ZERO, TieRule.ACCEPT_AT_ZERO])
+    return AgentSpec(rng.choice(list(CredenceRule)), theory, tie)
+
+
+def random_multi_agent_book(rng: random.Random, e: Experiment) -> Book:
+    """Zero or one pre-experiment bet, then one to three bets on observations."""
+
+    def event() -> frozenset[str]:
+        return frozenset(wid for wid in e.world_ids if rng.random() < 0.5)
+
+    def payoffs() -> tuple[Fraction, Fraction]:
+        return F(rng.randint(0, 20)), F(rng.randint(0, 40))
+
+    bets = []
+    if rng.random() < 0.5:
+        bets.append(Bet("pre", *payoffs(), event(), PreExperiment()))
+    observations = sorted(e.observations)
+    for k in range(rng.randint(1, 3)):
+        offered = rng.sample(observations, rng.randint(1, len(observations)))
+        agent = rng.choice([None, *e.agents])
+        bets.append(Bet(f"b{k}", *payoffs(), event(), OnObservation(frozenset(offered), agent)))
+    return Book(tuple(bets))
+
+
+# Linear-scan oracles: every lookup recomputed from ``e.centers`` alone.
+
+
+def same_state(center: Center, i: InformationState) -> bool:
+    return (center.observation, center.agent) == (i.observation, i.agent)
+
+
+def consistent_centers_by_scan(e: Experiment, i: InformationState) -> tuple[Center, ...]:
+    return tuple(c for c in e.centers if same_state(c, i))
+
+
+def count_centers_by_scan(
+    e: Experiment, world_id: str, i: InformationState | None = None
+) -> int:
+    return sum(
+        1 for c in e.centers if c.world == world_id and (i is None or same_state(c, i))
+    )
+
+
+def information_states_by_scan(e: Experiment) -> list[InformationState]:
+    states: list[InformationState] = []
+    for c in e.centers:
+        if InformationState(c.observation, c.agent) not in states:
+            states.append(InformationState(c.observation, c.agent))
+    return states
+
+
+def world_credence_by_scan(
+    rule: CredenceRule, e: Experiment, i: InformationState
+) -> dict[str, Fraction]:
+    """Each world's credence from the rule's definition, counting by scan."""
+    weights = {}
+    for world in e.worlds:
+        consistent = count_centers_by_scan(e, world.id, i)
+        if consistent == 0:
+            continue
+        if rule is CredenceRule.HALFER_STANDARD:
+            weights[world.id] = world.prior
+        elif rule is CredenceRule.HALFER_RANDOM_AWAKENING:
+            awakenings = sum(1 for c in e.centers if c.world == world.id and c.agent == i.agent)
+            weights[world.id] = world.prior * F(consistent, awakenings)
+        else:
+            weights[world.id] = world.prior * consistent
+    total = sum(weights.values())
+    return {world_id: weight / total for world_id, weight in weights.items()}
+
+
+def delta_by_scan(agent: AgentSpec, e: Experiment, i: InformationState, bet: Bet) -> Fraction:
+    """EU(accept) - EU(reject) of an in-experiment bet: credence x multiplier x net."""
+    delta = F(0)
+    for world_id, world_credence in world_credence_by_scan(agent.rule, e, i).items():
+        offered = [c for c in e.centers if c.world == world_id and offered_at_center(bet.offer, c)]
+        own = sum(1 for c in offered if same_state(c, i))
+        if isinstance(agent.theory, CDT):
+            multiplier = F(1)
+        elif isinstance(agent.theory.linkage, SameInfoOnly):
+            multiplier = F(own)
+        else:
+            cls = e.alikeness_class_of(i.observation)
+            linked = sum(1 for c in offered if c.observation in cls and not same_state(c, i))
+            multiplier = own + (2 * agent.theory.linkage.rho - 1) * linked
+        delta += world_credence * multiplier * bet.net(world_id)
+    return delta
+
+
+def ledger_by_walk(agent: AgentSpec, e: Experiment, book: Book) -> dict[str, list[tuple]]:
+    """simulate_book's ledger, walked without memo or index.
+
+    Each world's centers are visited in slot order, agents in declaration
+    order within a slot, and every offered bet is decided from scratch.
+    Entries are (bet id, slot or "pre", agent, net).
+    """
+
+    def accepts(delta: Fraction) -> bool:
+        return delta > 0 or (delta == 0 and agent.tie_rule == TieRule.ACCEPT_AT_ZERO)
+
+    entries = {}
+    for world in e.worlds:
+        rows = []
+        for bet in book.pre_bets:
+            if accepts(sum(w.prior * bet.net(w.id) for w in e.worlds)):
+                rows.append((bet.id, "pre", bet.offer.agent or e.agents[0], bet.net(world.id)))
+        walk = sorted(
+            (c for c in e.centers if c.world == world.id),
+            key=lambda c: (e.slots.index(c.slot), e.agents.index(c.agent)),
+        )
+        for c in walk:
+            state = InformationState(c.observation, c.agent)
+            for bet in book.in_experiment_bets:
+                if offered_at_center(bet.offer, c) and accepts(delta_by_scan(agent, e, state, bet)):
+                    rows.append((bet.id, c.slot, c.agent, bet.net(world.id)))
+        entries[world.id] = rows
+    return entries

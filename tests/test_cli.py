@@ -306,3 +306,37 @@ def test_simulate_file_paths(tmp_path, capsys):
     )
     assert code == 0
     assert "dutch book: yes" in out
+
+
+BIG = "7" * 5000  # longer than the 4,300-digit limit on int(str)
+
+
+@pytest.mark.parametrize("prior", [f'"{BIG}/3"', BIG], ids=["fraction-string", "bare-number"])
+def test_oversize_integer_in_a_document_exits_3(tmp_path, capsys, prior):
+    doc = {
+        "worlds": [{"id": "a", "prior": "PRIOR"}],
+        "slots": ["s"],
+        "centers": [{"world": "a", "slot": "s", "observation": "o"}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"PRIOR"', prior), encoding="utf-8")
+    code, _, err = run(capsys, "credence", str(path), "--rule", "thirder", "--obs", "o")
+    assert code == EXIT_DOCUMENT
+    assert "worlds[0].prior" in err and "5000 digits" in err
+    assert len(err) < 300
+
+
+def test_oversize_bounds_exits_3_with_a_short_message(capsys):
+    code, _, err = run(
+        capsys,
+        "synthesize",
+        "builtin:wbg",
+        "builtin:wbg-template",
+        "--agent",
+        "thirder+cdt",
+        "--bounds",
+        f"0/{BIG}",
+    )
+    assert code == EXIT_DOCUMENT
+    assert "--bounds" in err and "5000 digits" in err
+    assert len(err) < 300

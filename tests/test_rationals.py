@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from centerbook import DocumentError, format_rational, parse_rational
+from centerbook import DocumentError, format_rational, load_experiment, parse_rational
+from centerbook.synth import parse_bounds
 
 
 def test_parses_fraction_strings():
@@ -37,3 +39,43 @@ def test_formatting():
     assert format_rational(Fraction(4)) == "4"
     assert format_rational(Fraction(-5, 3)) == "-5/3"
     assert format_rational(Fraction(1, 4), decimal=True) == "0.25"
+
+
+BIG = "7" * 5000  # longer than the 4,300-digit limit on int(str)
+
+
+def assert_short_error(excinfo, field):
+    message = str(excinfo.value)
+    assert field in message
+    assert "5000 digits" in message
+    assert len(message) < 200
+
+
+def test_oversize_integer_in_a_fraction_string_is_a_document_error():
+    for text in (f"{BIG}/3", f"3/{BIG}", f"-{BIG}", BIG):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_rational(text, "worlds[0].prior")
+        assert_short_error(excinfo, "worlds[0].prior")
+
+
+def test_integer_at_the_digit_limit_is_accepted():
+    assert parse_rational("9" * 4300) == Fraction(int("9" * 4300))
+
+
+def test_oversize_bare_json_integer_names_its_field(tmp_path):
+    doc = {
+        "worlds": [{"id": "a", "prior": "PRIOR"}],
+        "slots": ["s"],
+        "centers": [{"world": "a", "slot": "s", "observation": "o"}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"PRIOR"', BIG), encoding="utf-8")
+    with pytest.raises(DocumentError) as excinfo:
+        load_experiment(path)
+    assert_short_error(excinfo, "worlds[0].prior")
+
+
+def test_oversize_bounds_end_is_a_short_document_error():
+    with pytest.raises(DocumentError) as excinfo:
+        parse_bounds(f"0/{BIG}", "--bounds")
+    assert_short_error(excinfo, "--bounds")
