@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Mapping, NamedTuple, Union
 
 from .credence import CredenceRule, credence
 from .errors import InvariantError, OfferError, UnjustifiedClassError
 from .model import (
+    AlikenessCheck,
     Center,
     Experiment,
     InformationState,
@@ -146,9 +147,11 @@ def offered_at_state(e: Experiment, offer: OfferRule, i: InformationState) -> bo
     return any(offered_at_center(offer, c) for c in consistent_centers(e, i))
 
 
-@lru_cache(maxsize=None)
-def _class_check(e: Experiment, cls: frozenset[str]):
-    return verify_alikeness(e, cls)
+def _class_check(e: Experiment, cls: frozenset[str]) -> AlikenessCheck:
+    checks = e._alikeness_checks
+    if cls not in checks:
+        checks[cls] = verify_alikeness(e, cls)
+    return checks[cls]
 
 
 def _acceptance_multipliers(

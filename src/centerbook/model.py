@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterable
 
 from .docio import list_field, read_document, require_keys, string_field
@@ -67,6 +67,8 @@ class Experiment:
     _agent_counts: Counter = field(init=False, repr=False, compare=False)
     _observations: frozenset = field(init=False, repr=False, compare=False)
     _states: tuple = field(init=False, repr=False, compare=False)
+    # Verdicts of verify_alikeness by class, memoized per experiment by the decision layer.
+    _alikeness_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate(self)
@@ -80,6 +82,7 @@ class Experiment:
             "_agent_counts": Counter((c.world, c.agent) for c in self.centers),
             "_observations": frozenset(observation for observation, _ in by_state),
             "_states": tuple(InformationState(*key) for key in by_state),
+            "_alikeness_checks": {},
         }
         for name, table in tables.items():
             object.__setattr__(self, name, table)
@@ -238,6 +241,15 @@ def verify_alikeness(e: Experiment, observation_class) -> AlikenessCheck:
     observations outside the class. Swaps generate every permutation of
     the class and automorphisms compose, so checking swaps suffices.
     Singleton classes are justified by the identity.
+
+    Agent relabelings are few and are tried one by one. World relabelings
+    are not enumerated: a world's signature is the set of its (slot,
+    agent, observation) triples, and under a fixed agent map and swap the
+    relabeled center set splits into per-world pieces, the swapped
+    signatures. So a matching prior-preserving world bijection exists
+    exactly when the multiset of (prior, swapped signature) equals the
+    multiset of (prior, signature). The check is polynomial in worlds and
+    centers and factorial only in agents.
     """
     cls = frozenset(observation_class)
     unknown = cls - e.observations
@@ -250,45 +262,29 @@ def verify_alikeness(e: Experiment, observation_class) -> AlikenessCheck:
 
 
 def _swap_extends(e: Experiment, first: str, second: str) -> bool:
-    center_set = set(e.centers)
     swap = {first: second, second: first}
-    for world_map in _prior_preserving_bijections(e):
-        for agent_map in _agent_bijections(e):
-            mapped = {
-                Center(
-                    world_map[c.world],
-                    c.slot,
-                    agent_map[c.agent],
-                    swap.get(c.observation, c.observation),
-                )
-                for c in e.centers
-            }
-            if mapped == center_set:
-                return True
+    triples: dict[str, list[tuple[str, str, str]]] = {world.id: [] for world in e.worlds}
+    for c in e.centers:
+        triples[c.world].append((c.slot, c.agent, c.observation))
+    pieces = [(world.prior, triples[world.id]) for world in e.worlds]
+    signatures = Counter((prior, frozenset(found)) for prior, found in pieces)
+    for perm in permutations(e.agents):
+        agent_map = dict(zip(e.agents, perm))
+        swapped = Counter(
+            (prior, frozenset((s, agent_map[a], swap.get(o, o)) for s, a, o in found))
+            for prior, found in pieces
+        )
+        if swapped == signatures:
+            return True
     return False
 
 
-def _prior_preserving_bijections(e: Experiment):
-    """All world bijections that map each world to one of equal prior."""
-    groups: dict[Fraction, list[str]] = {}
-    for world in e.worlds:
-        groups.setdefault(world.prior, []).append(world.id)
-    group_list = list(groups.values())
-    for perms in product(*(permutations(group) for group in group_list)):
-        mapping: dict[str, str] = {}
-        for group, perm in zip(group_list, perms):
-            mapping.update(zip(group, perm))
-        yield mapping
-
-
-def _agent_bijections(e: Experiment):
-    for perm in permutations(e.agents):
-        yield dict(zip(e.agents, perm))
-
-
 def _swap_failure_reason(e: Experiment, first: str, second: str) -> str:
-    slots_first = {c.slot for c in e.centers if c.observation == first}
-    slots_second = {c.slot for c in e.centers if c.observation == second}
+    def slots_of(observation: str) -> set[str]:
+        groups = (e._centers_by_state.get((observation, a), ()) for a in e.agents)
+        return {c.slot for group in groups for c in group}
+
+    slots_first, slots_second = slots_of(first), slots_of(second)
     if slots_first != slots_second:
         def fmt(slots: set[str]) -> str:
             return "{" + ", ".join(s for s in e.slots if s in slots) + "}"

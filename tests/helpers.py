@@ -152,12 +152,18 @@ def edt_delta_by_profile_enumeration(
     return total
 
 
-def alikeness_by_exhaustive_search(e: Experiment, cls: set[str]) -> bool:
-    """Single-agent oracle: try every world permutation for every in-class swap."""
-    assert len(e.agents) == 1
+def alikeness_by_exhaustive_search(e: Experiment, cls: set[str], agent_maps=None) -> bool:
+    """Oracle from the definition: every in-class swap extends to some relabeling.
+
+    Tries every world permutation that preserves priors times every agent
+    permutation (or only the given agent maps) and asks whether one maps
+    the center set onto itself, slots and out-of-class observations fixed.
+    """
     center_set = set(e.centers)
     ids = list(e.world_ids)
     priors = {w.id: w.prior for w in e.worlds}
+    if agent_maps is None:
+        agent_maps = [dict(zip(e.agents, perm)) for perm in itertools.permutations(e.agents)]
     for a, b in itertools.combinations(sorted(cls), 2):
         swap = {a: b, b: a}
         extended = False
@@ -165,16 +171,82 @@ def alikeness_by_exhaustive_search(e: Experiment, cls: set[str]) -> bool:
             mapping = dict(zip(ids, perm))
             if any(priors[wid] != priors[mapping[wid]] for wid in ids):
                 continue
-            mapped = {
-                Center(mapping[c.world], c.slot, c.agent, swap.get(c.observation, c.observation))
-                for c in e.centers
-            }
-            if mapped == center_set:
-                extended = True
+            for agent_map in agent_maps:
+                mapped = {
+                    Center(
+                        mapping[c.world],
+                        c.slot,
+                        agent_map[c.agent],
+                        swap.get(c.observation, c.observation),
+                    )
+                    for c in e.centers
+                }
+                if mapped == center_set:
+                    extended = True
+                    break
+            if extended:
                 break
         if not extended:
             return False
     return True
+
+
+def random_agent_twin_experiment(rng: random.Random) -> Experiment:
+    """Mirrored world pairs whose twin also exchanges two agents.
+
+    Each pair's twin swaps "red" and "blue" and exchanges the same two of
+    the two or three agents, so {red, blue} is justified only through a
+    non-identity agent map. Half the time one twin center is dropped, one
+    whose (slot, observation) occurs at another center too, so the class
+    turns unjustified while every observation keeps its slot set.
+    """
+    agents = ["alpha", "beta", "gamma"][: rng.randint(2, 3)]
+    exchanged = rng.sample(agents, 2)
+    agent_swap = {exchanged[0]: exchanged[1], exchanged[1]: exchanged[0]}
+    swap = {"red": "blue", "blue": "red"}
+    slots = [f"s{k}" for k in range(rng.randint(1, 3))]
+    pool = ["red", "blue", "green"]
+    worlds: list[tuple[str, int]] = []
+    centers: list[tuple[str, str, str, str]] = []
+    twin_centers: list[tuple[str, str, str, str]] = []
+    for k in range(rng.randint(1, 3)):
+        weight = rng.randint(1, 3)
+        base = [
+            (slot, agent, rng.choice(pool))
+            for slot in slots
+            for agent in agents
+            if rng.random() < 0.6
+        ] or [(slots[0], agents[0], "red")]
+        worlds += [(f"w{k}", weight), (f"v{k}", weight)]
+        centers += [(f"w{k}", s_, a, o) for s_, a, o in base]
+        twin_centers += [
+            (f"v{k}", s_, agent_swap.get(a, a), swap.get(o, o)) for s_, a, o in base
+        ]
+    centers += twin_centers
+    if rng.random() < 0.5:
+        droppable = [
+            c
+            for c in twin_centers
+            if sum(1 for d in centers if (d[1], d[3]) == (c[1], c[3])) > 1
+        ]
+        if droppable:
+            centers.remove(rng.choice(droppable))
+    used = {o for _, _, _, o in centers}
+    classes = [sorted(used & {"red", "blue"})] if used & {"red", "blue"} else []
+    classes += [[o] for o in sorted(used - {"red", "blue"})]
+    total = sum(weight for _, weight in worlds)
+    return load_experiment(
+        {
+            "worlds": [{"id": wid, "prior": f"{w}/{total}"} for wid, w in worlds],
+            "slots": slots,
+            "agents": agents,
+            "centers": [
+                {"world": w, "slot": s_, "agent": a, "observation": o}
+                for w, s_, a, o in centers
+            ],
+            "alikeness": classes,
+        }
+    )
 
 
 def random_multi_agent_experiment(rng: random.Random) -> Experiment:

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,11 @@ from centerbook import (
     evaluate_pre_experiment,
     load_experiment,
     rho_threshold,
+    simulate_book,
+    verify_alikeness,
 )
+from centerbook import decision
+from centerbook.bundled import bundled_document
 from helpers import (
     awake_bet,
     edt_delta_by_profile_enumeration,
@@ -251,3 +258,27 @@ def test_negative_bet_amounts_rejected():
         Bet("b", F(-1), F(0), frozenset(), PreExperiment())
     with pytest.raises(InvariantError):
         Bet("b", F(0), F(-1), frozenset(), PreExperiment())
+
+
+def test_alike_linked_evaluation_keeps_no_experiment_alive(two_beauties_book):
+    e = load_experiment(bundled_document("two-beauties"))
+    state = InformationState("white", "white_beauty")
+    assert evaluate_offer(halfer_edt(), e, state, two_beauties_book.bets[2]).accept
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+
+
+def test_alikeness_verified_once_per_class_per_experiment(monkeypatch, two_beauties_book):
+    calls = Counter()
+
+    def counting(e, cls):
+        calls[id(e), frozenset(cls)] += 1
+        return verify_alikeness(e, cls)
+
+    monkeypatch.setattr(decision, "verify_alikeness", counting)
+    experiments = [load_experiment(bundled_document("two-beauties")) for _ in range(2)]
+    for e in experiments:
+        simulate_book(halfer_edt(), e, two_beauties_book)
+    assert calls == {(id(e), frozenset({"white", "black"})): 1 for e in experiments}

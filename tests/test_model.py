@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,12 @@ from centerbook import (
     load_experiment,
     verify_alikeness,
 )
-from helpers import alikeness_by_exhaustive_search, random_uniform_info_experiment
+from helpers import (
+    alikeness_by_exhaustive_search,
+    random_agent_twin_experiment,
+    random_multi_agent_experiment,
+    random_uniform_info_experiment,
+)
 
 F = Fraction
 
@@ -151,8 +157,8 @@ def test_alikeness_two_beauties_needs_agent_swap(two_beauties):
     assert verify_alikeness(two_beauties, {"white", "black"}).justified
 
 
-def test_alikeness_matches_exhaustive_oracle(wbg, technicolor):
-    for e in (wbg, technicolor):
+def test_alikeness_matches_exhaustive_oracle(wbg, technicolor, two_beauties):
+    for e in (wbg, technicolor, two_beauties):
         observations = sorted(e.observations)
         for a_index in range(len(observations)):
             for b_index in range(a_index + 1, len(observations)):
@@ -160,6 +166,75 @@ def test_alikeness_matches_exhaustive_oracle(wbg, technicolor):
                 assert verify_alikeness(e, cls).justified == alikeness_by_exhaustive_search(
                     e, cls
                 )
+
+
+def declared_and_paired_classes(e):
+    """Every declared class, then every pair of observations."""
+    yield from e.alikeness
+    for pair in itertools.combinations(sorted(e.observations), 2):
+        yield frozenset(pair)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), twins=st.booleans())
+def test_alikeness_matches_multi_agent_oracle(seed, twins):
+    make = random_agent_twin_experiment if twins else random_multi_agent_experiment
+    e = make(random.Random(seed))
+    for cls in declared_and_paired_classes(e):
+        assert verify_alikeness(e, cls).justified == alikeness_by_exhaustive_search(e, cls)
+
+
+def test_agent_twin_generator_yields_both_verdicts():
+    justified = needs_agent_map = unjustified = 0
+    for seed in range(100):
+        e = random_agent_twin_experiment(random.Random(seed))
+        identity = [{agent: agent for agent in e.agents}]
+        for cls in (cls for cls in e.alikeness if len(cls) > 1):
+            check = verify_alikeness(e, cls)
+            assert check.justified == alikeness_by_exhaustive_search(e, cls), seed
+            if check.justified:
+                justified += 1
+                needs_agent_map += not alikeness_by_exhaustive_search(e, cls, identity)
+            else:
+                unjustified += 1
+                assert "no prior-preserving relabeling" in check.reason, seed
+    assert justified >= 20 and unjustified >= 20
+    assert needs_agent_map >= 10
+
+
+def mirrored_pairs_experiment(broken: bool):
+    """40 equal-prior worlds in 20 pairs, each twin swapping red and blue.
+
+    The broken variant turns one twin's red center blue; red still occurs
+    at that slot in other twins, so every observation keeps its slot set.
+    """
+    pool = ["red", "blue", "green"]
+    swap = {"red": "blue", "blue": "red"}
+    slots = ["s0", "s1", "s2"]
+    centers = []
+    for k in range(20):
+        base = [(slot, pool[(k + j * (k // 3)) % 3]) for j, slot in enumerate(slots)]
+        centers += [{"world": f"w{k}", "slot": s, "observation": o} for s, o in base]
+        centers += [{"world": f"v{k}", "slot": s, "observation": swap.get(o, o)} for s, o in base]
+    if broken:
+        victim = next(c for c in centers if c["world"][0] == "v" and c["observation"] == "red")
+        victim["observation"] = "blue"
+    world_ids = [f"{side}{k}" for k in range(20) for side in "wv"]
+    return load_experiment(
+        {
+            "worlds": [{"id": w, "prior": "1/40"} for w in world_ids],
+            "slots": slots,
+            "centers": centers,
+            "alikeness": [["red", "blue"], ["green"]],
+        }
+    )
+
+
+def test_alikeness_at_forty_equal_prior_worlds():
+    assert verify_alikeness(mirrored_pairs_experiment(False), {"red", "blue"}).justified
+    check = verify_alikeness(mirrored_pairs_experiment(True), {"red", "blue"})
+    assert not check.justified
+    assert "no prior-preserving relabeling" in check.reason
 
 
 def test_center_counts_partition_by_observation():
