@@ -1,13 +1,20 @@
 """Exact linear feasibility over the rationals.
 
-A small dense phase-1 simplex with Bland's rule: every pivot is a Fraction
-operation, so there is no tolerance anywhere and no cycling. Sized for the
-handful of variables a book template produces, not for production LP work.
+A small dense phase-1 simplex with Bland's rule, pivoted over integers. Each
+tableau row is its rational row times its own positive integer scale, and a
+pivot sets row_i to p * row_i - row_i[c] * row_r divided by the gcd of its
+entries, with p > 0 (integer-preserving elimination, after Edmonds). Since
+no scale changes sign, every sign test, cross-multiplied ratio comparison
+and Bland tie-break agrees with the Fraction tableau, so the pivot sequence
+and the point returned are the same: no tolerance anywhere, no cycling.
+Sized for the handful of variables a book template produces, not for
+production LP work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import BoundsError
@@ -76,89 +83,81 @@ def find_feasible_point(
 def _phase_one(
     matrix: list[list[Fraction]], rhs: list[Fraction], n_vars: int
 ) -> list[Fraction] | None:
-    """Solve A y <= b, y >= 0 for a basic feasible point via artificials."""
+    """Solve A y <= b, y >= 0 for a basic feasible point via artificials.
+
+    Row i of the tableau is s_i > 0 times the rational tableau row; the last
+    row is the objective, likewise scaled. Every scale stays positive.
+    """
     m = len(matrix)
     if m == 0:
         return [Fraction(0)] * n_vars
 
     artificial_rows = [i for i in range(m) if rhs[i] < 0]
-    n_slack = m
-    n_art = len(artificial_rows)
-    width = n_vars + n_slack + n_art
+    width = n_vars + m + len(artificial_rows)
+    art_col = {row: n_vars + m + k for k, row in enumerate(artificial_rows)}
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    art_col = {row: n_vars + n_slack + k for k, row in enumerate(artificial_rows)}
     for i in range(m):
-        negate = rhs[i] < 0
-        sign = Fraction(-1 if negate else 1)
-        row = [sign * value for value in matrix[i]]
-        row += [Fraction(0)] * (n_slack + n_art)
-        row_rhs = sign * rhs[i]
+        scale = lcm(rhs[i].denominator, *(value.denominator for value in matrix[i]))
+        sign = -scale if rhs[i] < 0 else scale
+        row = [value.numerator * (sign // value.denominator) for value in matrix[i]]
+        row += [0] * (width - n_vars)
+        row.append(rhs[i].numerator * (sign // rhs[i].denominator))
         row[n_vars + i] = sign  # slack
-        if negate:
-            row[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        else:
-            basis.append(n_vars + i)
-        tableau.append(row + [row_rhs])
+        if i in art_col:
+            row[art_col[i]] = scale
+        basis.append(art_col.get(i, n_vars + i))
+        tableau.append(row)
 
-    is_artificial = [col >= n_vars + n_slack for col in range(width)]
-    # Minimize the artificial sum; start with reduced costs for the basis above.
-    objective = [Fraction(0)] * (width + 1)
-    for col in range(width):
-        objective[col] = (Fraction(1) if is_artificial[col] else Fraction(0))
-    for i in range(m):
-        if is_artificial[basis[i]]:
-            for col in range(width + 1):
-                objective[col] -= tableau[i][col]
+    # Minimize the artificial sum: S * (artificial costs) - sum (S / s_i) * row_i
+    # over the artificial rows, S the lcm of their scales.
+    common = lcm(*(tableau[i][art_col[i]] for i in artificial_rows))
+    objective = [0] * (n_vars + m) + [common] * len(artificial_rows) + [0]
+    for i in artificial_rows:
+        factor = common // tableau[i][art_col[i]]
+        objective = [z - factor * a for z, a in zip(objective, tableau[i])]
+    tableau.append(objective)
 
     while True:
-        entering = next(
-            (col for col in range(width) if objective[col] < 0), None
-        )
+        entering = next((col for col in range(width) if tableau[m][col] < 0), None)
         if entering is None:
             break
-        best_ratio: Fraction | None = None
+        # Ratio test on rhs_i / row_i[entering], cross-multiplied: each divisor is > 0.
         leaving = None
         for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+            row = tableau[i]
+            if row[entering] > 0:
+                if leaving is not None:
+                    best = tableau[leaving]
+                    here, there = row[width] * best[entering], best[width] * row[entering]
+                    if here > there or (here == there and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
         if leaving is None:
             raise RuntimeError("phase-1 objective unbounded; solver invariant broken")
-        _pivot(tableau, objective, basis, leaving, entering, width)
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        nonzero = [j for j, value in enumerate(pivot_row) if value]
+        for i, row in enumerate(tableau):
+            factor = row[entering]
+            if i == leaving or not factor:
+                continue
+            # row <- pivot * row - factor * pivot_row, both cut by their gcd first.
+            common = gcd(pivot, factor)
+            keep, factor = pivot // common, factor // common
+            new = [keep * value for value in row] if keep != 1 else row[:]
+            for j in nonzero:
+                new[j] -= factor * pivot_row[j]
+            divisor = gcd(*new)
+            tableau[i] = [value // divisor for value in new] if divisor > 1 else new
+        basis[leaving] = entering
 
-    infeasibility = -objective[width]
-    if infeasibility > 0:
+    if tableau[m][width] < 0:
         return None
 
     solution = [Fraction(0)] * n_vars
     for i in range(m):
         if basis[i] < n_vars:
-            solution[basis[i]] = tableau[i][width]
+            solution[basis[i]] = Fraction(tableau[i][width], tableau[i][basis[i]])
     return solution
-
-
-def _pivot(tableau, objective, basis, row: int, col: int, width: int) -> None:
-    pivot_value = tableau[row][col]
-    tableau[row] = [value / pivot_value for value in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [
-                value - factor * pivot_row
-                for value, pivot_row in zip(tableau[i], tableau[row])
-            ]
-    if objective[col] != 0:
-        factor = objective[col]
-        for j in range(width + 1):
-            objective[j] -= factor * tableau[row][j]
-    basis[row] = col

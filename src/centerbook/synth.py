@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
+from operator import add
 from typing import Mapping
 
 from .decision import (
@@ -391,29 +392,33 @@ def immunity_grid_check(
             best = min(contribution[k] for _, _, contribution in scaled[index])
             suffix_min[index][k] = suffix_min[index + 1][k] + best
 
-    def search(index: int, sums: tuple[int, ...]):
-        after = suffix_min[index + 1]
-        last = index == n_bets - 1
-        for candidate in scaled[index]:
-            contribution = candidate[2]
-            reachable = True
+    # Depth-first in parameter order, so the first hit is the lexicographically
+    # smallest vector. A frame is (bet index, next candidate position, sums of
+    # the bets before it); an explicit stack keeps long templates off the
+    # interpreter's recursion limit.
+    hit = None
+    stack = [(0, 0, (0,) * n_worlds)]
+    while stack:
+        index, position, sums = stack.pop()
+        candidates = scaled[index]
+        # Take the first candidate from `position` on that stays below this limit
+        # in every world (the later bets can still make a sure loss there);
+        # with none left, backtrack to the frame below.
+        limit = [-(s + a) for s, a in zip(sums, suffix_min[index + 1])]
+        for position in range(position, len(candidates)):
+            contribution = candidates[position][2]
             for k in range(n_worlds):
-                if sums[k] + contribution[k] + after[k] >= 0:
-                    reachable = False
+                if contribution[k] >= limit[k]:
                     break
-            if not reachable:
-                continue
-            if last:
-                return [candidate]
-            rest = search(
-                index + 1,
-                tuple(sums[k] + contribution[k] for k in range(n_worlds)),
-            )
-            if rest is not None:
-                return [candidate] + rest
-        return None
-
-    hit = search(0, tuple([0] * n_worlds))
+            else:
+                break
+        else:
+            continue
+        if index == n_bets - 1:
+            hit = [scaled[i][p - 1] for i, p, _ in stack] + [candidates[position]]
+            break
+        stack.append((index, position + 1, sums))
+        stack.append((index + 1, 0, tuple(map(add, sums, contribution))))
     if hit is None:
         return SynthesisResult("infeasible_over_grid", grid=spec)
 

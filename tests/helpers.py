@@ -429,3 +429,99 @@ def ledger_by_walk(agent: AgentSpec, e: Experiment, book: Book) -> dict[str, lis
                     rows.append((bet.id, c.slot, c.agent, bet.net(world.id)))
         entries[world.id] = rows
     return entries
+
+
+def phase_one_by_fractions(
+    matrix: list[list[Fraction]], rhs: list[Fraction], n_vars: int
+) -> list[Fraction] | None:
+    """Solve A y <= b, y >= 0 for a basic feasible point via artificials.
+
+    A dense Fraction tableau with Bland's rule: the reference that the integer
+    kernel `centerbook.lp._phase_one` must match, point for point and None for
+    None, since both take the same pivot sequence.
+    """
+    m = len(matrix)
+    if m == 0:
+        return [Fraction(0)] * n_vars
+
+    artificial_rows = [i for i in range(m) if rhs[i] < 0]
+    n_slack = m
+    n_art = len(artificial_rows)
+    width = n_vars + n_slack + n_art
+
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    art_col = {row: n_vars + n_slack + k for k, row in enumerate(artificial_rows)}
+    for i in range(m):
+        negate = rhs[i] < 0
+        sign = Fraction(-1 if negate else 1)
+        row = [sign * value for value in matrix[i]]
+        row += [Fraction(0)] * (n_slack + n_art)
+        row_rhs = sign * rhs[i]
+        row[n_vars + i] = sign  # slack
+        if negate:
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        else:
+            basis.append(n_vars + i)
+        tableau.append(row + [row_rhs])
+
+    is_artificial = [col >= n_vars + n_slack for col in range(width)]
+    # Minimize the artificial sum; start with reduced costs for the basis above.
+    objective = [Fraction(0)] * (width + 1)
+    for col in range(width):
+        objective[col] = (Fraction(1) if is_artificial[col] else Fraction(0))
+    for i in range(m):
+        if is_artificial[basis[i]]:
+            for col in range(width + 1):
+                objective[col] -= tableau[i][col]
+
+    while True:
+        entering = next(
+            (col for col in range(width) if objective[col] < 0), None
+        )
+        if entering is None:
+            break
+        best_ratio: Fraction | None = None
+        leaving = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][width] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            raise RuntimeError("phase-1 objective unbounded; solver invariant broken")
+        _pivot_fractions(tableau, objective, basis, leaving, entering, width)
+
+    infeasibility = -objective[width]
+    if infeasibility > 0:
+        return None
+
+    solution = [Fraction(0)] * n_vars
+    for i in range(m):
+        if basis[i] < n_vars:
+            solution[basis[i]] = tableau[i][width]
+    return solution
+
+
+def _pivot_fractions(tableau, objective, basis, row: int, col: int, width: int) -> None:
+    pivot_value = tableau[row][col]
+    tableau[row] = [value / pivot_value for value in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            factor = tableau[i][col]
+            tableau[i] = [
+                value - factor * pivot_row
+                for value, pivot_row in zip(tableau[i], tableau[row])
+            ]
+    if objective[col] != 0:
+        factor = objective[col]
+        for j in range(width + 1):
+            objective[j] -= factor * tableau[row][j]
+    basis[row] = col

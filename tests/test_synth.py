@@ -9,14 +9,16 @@ from centerbook import (
     DocumentError,
     InvariantError,
     LegitimacyError,
+    TieRule,
     build_constraints,
     immunity_grid_check,
+    load_experiment,
     load_template,
     simulate_book,
     synthesize,
 )
 from centerbook.synth import parse_bounds
-from helpers import halfer_edt, thirder_cdt
+from helpers import halfer_cdt, halfer_edt, thirder_cdt
 
 F = Fraction
 
@@ -299,3 +301,71 @@ def test_illegitimate_template_is_rejected(original_sb):
 def test_negative_bounds_rejected(wbg, wbg_template):
     with pytest.raises(BoundsError):
         synthesize(halfer_edt(), wbg, wbg_template, default_bounds=(F(-1), F(10)))
+
+
+def test_grid_search_over_a_thousand_bets_needs_no_recursion(original_sb):
+    # 500 copies of each Hitchcock bet, one payout symbolic: the search goes
+    # one level deeper per bet, past the interpreter's default recursion limit.
+    pre = [
+        {"id": f"pre{k:03d}", "cost": "15", "payout": "?" if k == 0 else "30",
+         "payoff_event": ["tails"], "offer": "pre"}
+        for k in range(500)
+    ]
+    awake = [
+        {"id": f"awake{k:03d}", "cost": "10", "payout": "20",
+         "payoff_event": ["heads"], "offer": {"observations": ["awake"]}}
+        for k in range(500)
+    ]
+    template = load_template({"bets": pre + awake})
+    agent = halfer_cdt(TieRule.ACCEPT_AT_ZERO)
+    result = immunity_grid_check(agent, original_sb, template, F(1), (F(0), F(40)))
+    assert result.feasible
+    assert result.parameters == {"pre000.payout": F(30)}
+    assert result.verdict.is_dutch_book
+
+
+def _tiled_sleeping_beauty(n_tiles):
+    """Tile k is the original experiment with its own observation and prior."""
+    total = n_tiles * (n_tiles + 1)
+    worlds, centers = [], []
+    for k in range(n_tiles):
+        prior = f"{k + 1}/{total}"
+        worlds += [{"id": f"h{k:02d}", "prior": prior}, {"id": f"t{k:02d}", "prior": prior}]
+        for world, slot in ((f"h{k:02d}", "monday"), (f"t{k:02d}", "monday"),
+                            (f"t{k:02d}", "tuesday")):
+            centers.append({"world": world, "slot": slot, "observation": f"awake{k:02d}"})
+    return load_experiment({
+        "worlds": worlds, "slots": ["monday", "tuesday"], "agents": ["beauty"], "centers": centers,
+    })
+
+
+def _tiled_hitchcock_template(n_tiles):
+    """A symbolic pre-experiment bet on tails, and a symbolic-payout awake bet on
+    heads per tile. The last three tiles share one awake bet, so that 20 tiles
+    carry 20 parameters and every awake bet still has a symbolic field."""
+    bets = [
+        {"id": "pre", "cost": "?", "payout": "?",
+         "payoff_event": [f"t{k:02d}" for k in range(n_tiles)], "offer": "pre"}
+    ]
+    groups = [[k] for k in range(n_tiles - 3)] + [list(range(n_tiles - 3, n_tiles))]
+    for group in groups:
+        bets.append(
+            {"id": f"awake{group[0]:02d}", "cost": "10", "payout": "?",
+             "payoff_event": [f"h{k:02d}" for k in group],
+             "offer": {"observations": [f"awake{k:02d}" for k in group]}}
+        )
+    return load_template({"bets": bets})
+
+
+def test_largest_tiled_sleeping_beauty_stays_exact():
+    e = _tiled_sleeping_beauty(20)
+    template = _tiled_hitchcock_template(20)
+    assert len(e.worlds) == 40 and len(template.parameters()) == 20
+
+    result = synthesize(halfer_cdt(), e, template)
+    assert result.feasible
+    assert all(c.satisfied_by(result.parameters) for c in result.constraints)
+    _, replay = simulate_book(halfer_cdt(), e, template.instantiate(result.parameters))
+    assert replay.is_dutch_book
+
+    assert synthesize(thirder_cdt(), e, template).outcome == "infeasible_lp"
