@@ -31,12 +31,7 @@ from .decision import (
     offered_at_state,
 )
 from .dutchbook import load_book, simulate_book
-from .errors import (
-    BudgetError,
-    CenterbookError,
-    DocumentError,
-    UnknownLabelError,
-)
+from .errors import BudgetError, CenterbookError, DocumentError, UnknownLabelError
 from .model import InformationState, load_experiment
 from .rationals import format_rational, parse_rational
 from .synth import (
@@ -47,13 +42,7 @@ from .synth import (
     parse_bounds,
     synthesize,
 )
-from .tables import (
-    credence_rows,
-    experiment_rows,
-    ledger_rows,
-    render_rows,
-    verdict_lines,
-)
+from .tables import credence_rows, experiment_rows, ledger_rows, render_rows, verdict_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,13 +61,7 @@ FIGURES = {
     3: ("experiment", "wbg"),
     4: ("ledger", "wbg", "wbg-book", "halfer+edt", TieRule.REJECT_AT_ZERO),
     6: ("experiment", "two-beauties"),
-    7: (
-        "ledger",
-        "two-beauties",
-        "two-beauties-book",
-        "halfer+edt",
-        TieRule.REJECT_AT_ZERO,
-    ),
+    7: ("ledger", "two-beauties", "two-beauties-book", "halfer+edt", TieRule.REJECT_AT_ZERO),
 }
 
 
@@ -192,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _agent_from_args(args) -> AgentSpec:
     tie = TieRule.ACCEPT_AT_ZERO if args.tie == "accept" else TieRule.REJECT_AT_ZERO
-    return parse_agent(
-        args.agent, parse_rational(args.rho, "--rho"), args.linkage, tie
-    )
+    return parse_agent(args.agent, parse_rational(args.rho, "--rho"), args.linkage, tie)
 
 
 def _cmd_credence(args) -> int:
@@ -206,9 +187,7 @@ def _cmd_credence(args) -> int:
                 f"--agent-label is required here; the experiment has agents {list(e.agents)}"
             )
         agent_label = e.agents[0]
-    dist = credence(
-        RULES[args.rule], e, InformationState(args.obs, agent_label)
-    )
+    dist = credence(RULES[args.rule], e, InformationState(args.obs, agent_label))
     print(render_rows(credence_rows(e, dist, args.decimal), args.format), end="")
     return EXIT_OK
 
@@ -238,9 +217,7 @@ def _cmd_simulate(args) -> int:
     e = load_experiment(resolve_source(args.scenario))
     book = load_book(resolve_source(args.book))
     agent = _agent_from_args(args)
-    ledger, verdict = simulate_book(
-        agent, e, book, allow_illegitimate=args.allow_illegitimate
-    )
+    ledger, verdict = simulate_book(agent, e, book, allow_illegitimate=args.allow_illegitimate)
     print(render_rows(ledger_rows(e, book, ledger, args.decimal), args.format), end="")
     for line in verdict_lines(verdict, args.decimal):
         print(line)
@@ -251,9 +228,7 @@ def _cmd_synthesize(args) -> int:
     e = load_experiment(resolve_source(args.scenario))
     template = load_template(resolve_source(args.template))
     agent = _agent_from_args(args)
-    default_bounds = (
-        parse_bounds(args.bounds, "--bounds") if args.bounds else DEFAULT_BOUNDS
-    )
+    default_bounds = parse_bounds(args.bounds, "--bounds") if args.bounds else DEFAULT_BOUNDS
     if args.grid_step is not None:
         result = immunity_grid_check(
             agent,
@@ -267,9 +242,7 @@ def _cmd_synthesize(args) -> int:
         print(f"grid: {grid.points} point(s) at step {format_rational(grid.step)}")
     else:
         epsilon = parse_rational(args.epsilon, "--epsilon") if args.epsilon else None
-        result = synthesize(
-            agent, e, template, epsilon=epsilon, default_bounds=default_bounds
-        )
+        result = synthesize(agent, e, template, epsilon=epsilon, default_bounds=default_bounds)
         print("constraints:")
         for constraint in result.constraints:
             print(f"  {constraint.render()}")

@@ -11,7 +11,11 @@ Three rules cover the betting positions the engine models:
 
 Within a world, its consistent centers always share the world's credence
 equally. That is the unique split respecting their symmetry, and every
-downstream computation only needs world-level credences anyway.
+downstream computation only needs world-level credences anyway. So each
+rule yields integer world weights over one common denominator, scaled from
+the integer prior numerators: P_w (halfer), P_w * count_w (thirder), and
+P_w * count_w * A / awakenings_w (random-awakening halfer, A the lcm of
+the awakenings).
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantError
 from .model import (
     Center,
     Experiment,
     InformationState,
+    WorldWeights,
     consistent_centers,
     count_by_world,
 )
@@ -42,12 +48,6 @@ class CenteredCredence:
 
     weights: tuple[tuple[Center, Fraction], ...]
 
-    def weight(self, center: Center) -> Fraction:
-        for candidate, value in self.weights:
-            if candidate == center:
-                return value
-        return Fraction(0)
-
     def world(self, world_id: str) -> Fraction:
         return sum(
             (value for center, value in self.weights if center.world == world_id),
@@ -61,30 +61,29 @@ class CenteredCredence:
         return sum((value for _, value in self.weights), Fraction(0))
 
 
-def credence(rule: CredenceRule, e: Experiment, i: InformationState) -> CenteredCredence:
-    """The agent's credence over centers consistent with her information."""
-    centers = consistent_centers(e, i)
-    if not centers:
+def world_weights(rule: CredenceRule, e: Experiment, i: InformationState) -> WorldWeights:
+    """The agent's credence in each world she cannot rule out, as integer weights."""
+    if not consistent_centers(e, i):
         raise InvariantError(
             f"no centers are consistent with observation {i.observation!r} "
             f"for agent {i.agent!r}"
         )
-
     counts = count_by_world(e, [i])
-    world_weights: dict[str, Fraction] = {}
-    for world_id, count in counts.items():
-        prior = e.world(world_id).prior
-        if rule is CredenceRule.HALFER_STANDARD:
-            weight = prior
-        elif rule is CredenceRule.HALFER_RANDOM_AWAKENING:
-            weight = prior * Fraction(count, e.awakenings(world_id, i.agent))
-        else:
-            weight = prior * count
-        world_weights[world_id] = weight
+    priors = e._priors.numerators
+    if rule is CredenceRule.HALFER_STANDARD:
+        numerators = {w: priors[w] for w in counts}
+    elif rule is CredenceRule.HALFER_RANDOM_AWAKENING:
+        awakenings = {w: e.awakenings(w, i.agent) for w in counts}
+        scale = lcm(*awakenings.values())
+        numerators = {w: priors[w] * n * (scale // awakenings[w]) for w, n in counts.items()}
+    else:
+        numerators = {w: priors[w] * n for w, n in counts.items()}
+    return WorldWeights(numerators, sum(numerators.values()))
 
-    normalizer = sum(world_weights.values(), Fraction(0))
-    shares = {
-        world_id: weight / normalizer / counts[world_id]
-        for world_id, weight in world_weights.items()
-    }
-    return CenteredCredence(tuple((center, shares[center.world]) for center in centers))
+
+def credence(rule: CredenceRule, e: Experiment, i: InformationState) -> CenteredCredence:
+    """The agent's credence over centers consistent with her information."""
+    numerators, denominator = world_weights(rule, e, i)
+    counts = count_by_world(e, [i])
+    shares = {w: Fraction(n, denominator * counts[w]) for w, n in numerators.items()}
+    return CenteredCredence(tuple((c, shares[c.world]) for c in consistent_centers(e, i)))

@@ -11,6 +11,10 @@ linked rejection; centers outside the class contribute the same unknown
 amount to both branches and cancel. With n same-state acceptances and m
 class-linked ones in a world, the per-world multiplier on the bet's net
 payout works out to n + (2*rho - 1)*m.
+
+With rho = p/q, decision weights stay integers over one denominator: each
+world's credence numerator times q*n + (2p - q)*m, over q times the credence
+denominator. A delta's two coefficients are the only Fractions it builds.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .credence import CredenceRule, credence
+from .credence import CredenceRule, world_weights
 from .errors import InvariantError, OfferError, UnjustifiedClassError
 from .model import (
     AlikenessCheck,
     Center,
     Experiment,
     InformationState,
+    WorldWeights,
     consistent_centers,
     count_by_world,
     verify_alikeness,
@@ -156,12 +161,12 @@ def _class_check(e: Experiment, cls: frozenset[str]) -> AlikenessCheck:
 
 def _acceptance_multipliers(
     e: Experiment, i: InformationState, offer: OfferRule, linkage: LinkageModel
-) -> dict[str, Fraction]:
-    """Net acceptances the choice controls per world: same-state plus linked."""
+) -> tuple[dict[str, int], int]:
+    """Net acceptances the choice controls per world (same-state plus linked) times q."""
     offered = partial(offered_at_center, offer)
     own = count_by_world(e, [i], offered)
     if isinstance(linkage, SameInfoOnly):
-        return own
+        return own, 1
     cls = e.alikeness_class_of(i.observation)
     if len(cls) > 1:
         check = _class_check(e, cls)
@@ -171,26 +176,27 @@ def _acceptance_multipliers(
             )
     class_states = [InformationState(obs, agent) for obs in cls for agent in e.agents]
     linked = count_by_world(e, [state for state in class_states if state != i], offered)
-    factor = 2 * linkage.rho - 1
-    return {w: own.get(w, 0) + factor * linked.get(w, 0) for w in own.keys() | linked.keys()}
+    p, q = linkage.rho.numerator, linkage.rho.denominator
+    scaled = {w: q * own.get(w, 0) + (2 * p - q) * linked.get(w, 0) for w in own | linked}
+    return scaled, q
 
 
 def decision_weights(
     agent: AgentSpec, e: Experiment, i: InformationState, offer: OfferRule
-) -> dict[str, Fraction]:
+) -> WorldWeights:
     """Per-world weight on the bet's net payout: credence times multiplier.
 
     Only worlds of positive credence appear. Evaluation and synthesis both
     turn these weights into a delta through ``delta_form``.
     """
-    weights: dict[str, Fraction] = {}
-    for center, value in credence(agent.rule, e, i).items():
-        world_id = center.world
-        weights[world_id] = weights[world_id] + value if world_id in weights else value
+    weights = world_weights(agent.rule, e, i)
     if isinstance(agent.theory, CDT):
         return weights
-    multipliers = _acceptance_multipliers(e, i, offer, agent.theory.linkage)
-    return {w: value * multipliers.get(w, 0) for w, value in weights.items()}
+    multipliers, q = _acceptance_multipliers(e, i, offer, agent.theory.linkage)
+    return WorldWeights(
+        {w: n * multipliers.get(w, 0) for w, n in weights.numerators.items()},
+        weights.denominator * q,
+    )
 
 
 class DeltaForm(NamedTuple):
@@ -203,15 +209,16 @@ class DeltaForm(NamedTuple):
         return self.payout_coef * payout + self.cost_coef * cost
 
 
-def delta_form(weights: Mapping[str, Fraction], payoff_event: frozenset[str]) -> DeltaForm:
+def delta_form(weights: WorldWeights, payoff_event: frozenset[str]) -> DeltaForm:
     """The delta sum_w weights[w] * net(w) as (payout_coef, cost_coef).
 
     As net(w) = payout * [w in event] - cost, payout_coef is the weight on
     the payoff event and cost_coef is minus the total weight.
     """
+    numerators, denominator = weights
+    on_event = sum(n for w, n in numerators.items() if w in payoff_event)
     return DeltaForm(
-        sum((weights[w] for w in weights if w in payoff_event), Fraction(0)),
-        -sum(weights.values(), Fraction(0)),
+        Fraction(on_event, denominator), Fraction(-sum(numerators.values()), denominator)
     )
 
 
@@ -245,7 +252,7 @@ def evaluate_pre_experiment(agent: AgentSpec, e: Experiment, b: Bet) -> Decision
     """Decide a bet offered once before the experiment; theories agree here."""
     if not isinstance(b.offer, PreExperiment):
         raise OfferError(f"bet {b.id!r} is offered in-experiment, not before it")
-    form = delta_form({w.id: w.prior for w in e.worlds}, b.payoff_event)
+    form = delta_form(e._priors, b.payoff_event)
     return _decide(agent.tie_rule, form.at(b.payout, b.cost))
 
 
@@ -258,9 +265,10 @@ def briggs_condition(e: Experiment, b: Bet, i: InformationState) -> Fraction:
     agrees in sign with both the causal thirder and the evidential halfer.
     """
     _require_offered(e, i, b)
+    priors = e._priors.numerators
     counts = count_by_world(e, [i])
-    normalizer = sum((e.world(w).prior for w in counts), Fraction(0))
-    weights = {w: e.world(w).prior / normalizer * n for w, n in counts.items()}
+    numerators = {w: priors[w] * n for w, n in counts.items()}
+    weights = WorldWeights(numerators, sum(priors[w] for w in counts))
     return delta_form(weights, b.payoff_event).at(b.payout, b.cost)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .decision import (
@@ -24,7 +25,7 @@ from .decision import (
     evaluate_pre_experiment,
     offered_at_center,
 )
-from .docio import list_field, read_document, require_keys, string_field
+from .docio import list_field, read_document, require_keys, string_field, string_list
 from .errors import DocumentError, InvariantError, LegitimacyError, UnknownLabelError
 from .model import Center, Experiment, InformationState, consistent_centers
 from .rationals import parse_rational
@@ -76,7 +77,10 @@ class Ledger:
     entries: Mapping[str, tuple[LedgerEntry, ...]]
 
     def total(self, world_id: str) -> Fraction:
-        return sum((entry.net for entry in self.entries[world_id]), Fraction(0))
+        """The world's sum of nets, added as integers over the lcm of their denominators."""
+        nets = [entry.net for entry in self.entries[world_id]]
+        scale = lcm(*(net.denominator for net in nets))
+        return Fraction(sum(net.numerator * (scale // net.denominator) for net in nets), scale)
 
     def totals(self) -> dict[str, Fraction]:
         return {world_id: self.total(world_id) for world_id in self.entries}
@@ -175,15 +179,16 @@ def simulate_book(
         return decisions[key]
 
     pre_bets, in_experiment_bets = book.pre_bets, book.in_experiment_bets
+    # Each bet's net in a world outside its payoff event, then inside it.
+    nets = {bet.id: (-bet.cost, bet.payout - bet.cost) for bet in book.bets}
     entries: dict[str, tuple[LedgerEntry, ...]] = {}
     for world in e.worlds:
         world_entries: list[LedgerEntry] = []
         for bet in pre_bets:
             if decisions[PRE_SLOT, bet.id].accept:
                 holder = bet.offer.agent or e.agents[0]
-                world_entries.append(
-                    LedgerEntry(bet.id, PRE_SLOT, holder, bet.net(world.id))
-                )
+                net = nets[bet.id][world.id in bet.payoff_event]
+                world_entries.append(LedgerEntry(bet.id, PRE_SLOT, holder, net))
         for slot in e.slots:
             for agent_label in e.agents:
                 center = e.center_at(world.id, slot, agent_label)
@@ -193,9 +198,8 @@ def simulate_book(
                     if not offered_at_center(bet.offer, center):
                         continue
                     if decide_at(center, bet).accept:
-                        world_entries.append(
-                            LedgerEntry(bet.id, slot, agent_label, bet.net(world.id))
-                        )
+                        net = nets[bet.id][world.id in bet.payoff_event]
+                        world_entries.append(LedgerEntry(bet.id, slot, agent_label, net))
         entries[world.id] = tuple(world_entries)
 
     ledger = Ledger(entries)
@@ -220,9 +224,7 @@ def load_book(source) -> Book:
         if not isinstance(entry, dict):
             raise DocumentError(f"{sub}: expected an object")
         require_keys(entry, sub, required={"id", "cost", "payout", "payoff_event", "offer"})
-        event = entry["payoff_event"]
-        if not isinstance(event, list) or not all(isinstance(x, str) for x in event):
-            raise DocumentError(f"{sub}.payoff_event: expected a list of world ids")
+        event = string_list(entry["payoff_event"], f"{sub}.payoff_event", "world ids")
         bets.append(
             Bet(
                 id=string_field(entry, "id", sub),
@@ -241,26 +243,18 @@ def parse_offer(value, where: str):
         return PreExperiment()
     if not isinstance(value, dict):
         raise DocumentError(f'{where}.offer: expected "pre" or an object')
-    if value.get(PRE_SLOT):
-        require_keys(value, f"{where}.offer", required={PRE_SLOT}, optional={"agent"})
-        agent = value.get("agent")
-        if agent is not None and not isinstance(agent, str):
-            raise DocumentError(f"{where}.offer.agent: expected a string")
-        return PreExperiment(agent)
-    require_keys(
-        value, f"{where}.offer", required={"observations"}, optional={"agent", "slots"}
-    )
-    observations = value["observations"]
-    if not isinstance(observations, list) or not all(
-        isinstance(x, str) for x in observations
-    ):
-        raise DocumentError(f"{where}.offer.observations: expected a list of labels")
+    pre = PRE_SLOT in value
+    if pre and value[PRE_SLOT] is not True:
+        raise DocumentError(f"{where}.offer.pre: expected true")
+    keys = ({PRE_SLOT}, {"agent"}) if pre else ({"observations"}, {"agent", "slots"})
+    require_keys(value, f"{where}.offer", *keys)
     agent = value.get("agent")
     if agent is not None and not isinstance(agent, str):
         raise DocumentError(f"{where}.offer.agent: expected a string")
+    if pre:
+        return PreExperiment(agent)
+    observations = string_list(value["observations"], f"{where}.offer.observations", "labels")
     slots = value.get("slots")
     if slots is not None:
-        if not isinstance(slots, list) or not all(isinstance(x, str) for x in slots):
-            raise DocumentError(f"{where}.offer.slots: expected a list of labels")
-        slots = frozenset(slots)
+        slots = frozenset(string_list(slots, f"{where}.offer.slots", "labels"))
     return OnObservation(frozenset(observations), agent, slots)

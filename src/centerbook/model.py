@@ -19,9 +19,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from math import lcm
+from typing import Callable, Iterable, NamedTuple
 
-from .docio import list_field, read_document, require_keys, string_field
+from .docio import list_field, read_document, require_keys, string_field, string_list
 from .errors import DocumentError, InvariantError, UnknownLabelError
 from .rationals import format_rational, parse_rational
 
@@ -32,6 +33,13 @@ DEFAULT_AGENT = "beauty"
 class World:
     id: str
     prior: Fraction
+
+
+class WorldWeights(NamedTuple):
+    """Exact per-world weights as integers over one common denominator."""
+
+    numerators: dict[str, int]
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,14 @@ class Experiment:
     _agent_counts: Counter = field(init=False, repr=False, compare=False)
     _observations: frozenset = field(init=False, repr=False, compare=False)
     _states: tuple = field(init=False, repr=False, compare=False)
+    # Priors as integer numerators over the lcm of their denominators.
+    _priors: WorldWeights = field(init=False, repr=False, compare=False)
     # Verdicts of verify_alikeness by class, memoized per experiment by the decision layer.
     _alikeness_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate(self)
+        scale = lcm(*(world.prior.denominator for world in self.worlds))
         by_state: dict[tuple[str, str], list[Center]] = {}
         for c in self.centers:
             by_state.setdefault((c.observation, c.agent), []).append(c)
@@ -82,6 +93,7 @@ class Experiment:
             "_agent_counts": Counter((c.world, c.agent) for c in self.centers),
             "_observations": frozenset(observation for observation, _ in by_state),
             "_states": tuple(InformationState(*key) for key in by_state),
+            "_priors": WorldWeights({w.id: int(w.prior * scale) for w in self.worlds}, scale),
             "_alikeness_checks": {},
         }
         for name, table in tables.items():
@@ -318,9 +330,7 @@ def load_experiment(source) -> Experiment:
         )
 
     slots = _label_list(doc, "slots", where)
-    agents = (
-        _label_list(doc, "agents", where) if "agents" in doc else [DEFAULT_AGENT]
-    )
+    agents = _label_list(doc, "agents", where) if "agents" in doc else [DEFAULT_AGENT]
 
     centers = []
     for index, entry in enumerate(list_field(doc, "centers", where)):
@@ -346,12 +356,10 @@ def load_experiment(source) -> Experiment:
         )
 
     if "alikeness" in doc:
-        alikeness = []
-        for index, entry in enumerate(list_field(doc, "alikeness", where)):
-            sub = f"{where}.alikeness[{index}]"
-            if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-                raise DocumentError(f"{sub}: expected a list of observation labels")
-            alikeness.append(frozenset(entry))
+        alikeness = [
+            frozenset(string_list(entry, f"{where}.alikeness[{index}]", "observation labels"))
+            for index, entry in enumerate(list_field(doc, "alikeness", where))
+        ]
     else:
         alikeness = [frozenset([obs]) for obs in dict.fromkeys(c.observation for c in centers)]
 

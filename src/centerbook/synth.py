@@ -31,7 +31,7 @@ from .decision import (
     offered_at_center,
     offered_at_state,
 )
-from .docio import list_field, read_document, require_keys, string_field
+from .docio import list_field, read_document, require_keys, string_field, string_list
 from .dutchbook import (
     Book,
     DutchBookVerdict,
@@ -41,15 +41,9 @@ from .dutchbook import (
     simulate_book,
     validate_book,
 )
-from .errors import (
-    BoundsError,
-    BudgetError,
-    DocumentError,
-    InvariantError,
-    LegitimacyError,
-)
+from .errors import BoundsError, BudgetError, DocumentError, InvariantError, LegitimacyError
 from .lp import find_feasible_point
-from .model import Experiment, InformationState, count_by_world
+from .model import Experiment, InformationState, WorldWeights, count_by_world
 from .rationals import abbreviate, format_rational, parse_integer, parse_rational
 
 DEFAULT_BOUNDS = (Fraction(0), Fraction(100))
@@ -129,9 +123,7 @@ class LinearConstraint:
     rhs: Fraction
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        return sum(
-            (coef * assignment[name] for name, coef in self.coeffs), Fraction(0)
-        )
+        return sum((coef * assignment[name] for name, coef in self.coeffs), Fraction(0))
 
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
         value = self.evaluate(assignment)
@@ -188,10 +180,10 @@ def _offer_counts(e: Experiment, bet: TemplateBet) -> dict[str, int]:
 
 def _acceptance_weightings(
     agent: AgentSpec, e: Experiment, bet: TemplateBet
-) -> list[tuple[str, dict[str, Fraction]]]:
+) -> list[tuple[str, WorldWeights]]:
     """Per decision point: a label and the per-world weights on the bet's net."""
     if isinstance(bet.offer, PreExperiment):
-        return [("pre-experiment", {w.id: w.prior for w in e.worlds})]
+        return [("pre-experiment", e._priors)]
     return [
         (f"({state.observation}, {state.agent})", decision_weights(agent, e, state, bet.offer))
         for state in e.information_states()
@@ -200,7 +192,7 @@ def _acceptance_weightings(
 
 
 def _delta_terms(
-    bet: TemplateBet, weights: dict[str, Fraction]
+    bet: TemplateBet, weights: WorldWeights
 ) -> tuple[list[tuple[str, Fraction]], Fraction]:
     """Split a delta into symbolic terms plus a constant, given fixed fields."""
     form = delta_form(weights, bet.payoff_event)
@@ -235,7 +227,7 @@ def build_constraints(
             count = counts[bet.id].get(world.id, 0)
             if count == 0:
                 continue
-            bet_terms, bet_constant = _delta_terms(bet, {world.id: Fraction(count)})
+            bet_terms, bet_constant = _delta_terms(bet, WorldWeights({world.id: count}, 1))
             terms.extend(bet_terms)
             constant += bet_constant
         constraints.append(
@@ -351,9 +343,7 @@ def immunity_grid_check(
         ]
         counts = _offer_counts(e, bet)
         cost_values = grids[f"{bet.id}.cost"] if bet.cost is None else [bet.cost]
-        payout_values = (
-            grids[f"{bet.id}.payout"] if bet.payout is None else [bet.payout]
-        )
+        payout_values = grids[f"{bet.id}.payout"] if bet.payout is None else [bet.payout]
         candidates = []
         for cost in cost_values:
             for payout in payout_values:
@@ -460,9 +450,7 @@ def load_template(source) -> BookTemplate:
             required={"id", "cost", "payout", "payoff_event", "offer"},
             optional={"bounds"},
         )
-        event = entry["payoff_event"]
-        if not isinstance(event, list) or not all(isinstance(x, str) for x in event):
-            raise DocumentError(f"{sub}.payoff_event: expected a list of world ids")
+        event = string_list(entry["payoff_event"], f"{sub}.payoff_event", "world ids")
         cost = None if entry["cost"] == "?" else parse_rational(entry["cost"], f"{sub}.cost")
         payout = (
             None if entry["payout"] == "?" else parse_rational(entry["payout"], f"{sub}.payout")

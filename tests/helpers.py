@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 from centerbook import (
     CDT,
@@ -15,6 +16,7 @@ from centerbook import (
     Bet,
     Book,
     Center,
+    CenteredCredence,
     CredenceRule,
     Experiment,
     InformationState,
@@ -22,10 +24,13 @@ from centerbook import (
     PreExperiment,
     SameInfoOnly,
     TieRule,
+    UnjustifiedClassError,
+    consistent_centers,
     credence,
     load_experiment,
 )
-from centerbook.decision import offered_at_center
+from centerbook.decision import _class_check, offered_at_center
+from centerbook.model import count_by_world
 
 F = Fraction
 
@@ -525,3 +530,128 @@ def _pivot_fractions(tableau, objective, basis, row: int, col: int, width: int) 
         for j in range(width + 1):
             objective[j] -= factor * tableau[row][j]
     basis[row] = col
+
+
+# The per-center Fraction path that integer world weights replaced, kept as
+# the reference: credence shares per center, summed back into world weights.
+
+
+def credence_by_fractions(
+    rule: CredenceRule, e: Experiment, i: InformationState
+) -> CenteredCredence:
+    """The agent's credence over centers consistent with her information."""
+    centers = consistent_centers(e, i)
+    counts = count_by_world(e, [i])
+    world_weights: dict[str, Fraction] = {}
+    for world_id, count in counts.items():
+        prior = e.world(world_id).prior
+        if rule is CredenceRule.HALFER_STANDARD:
+            weight = prior
+        elif rule is CredenceRule.HALFER_RANDOM_AWAKENING:
+            weight = prior * Fraction(count, e.awakenings(world_id, i.agent))
+        else:
+            weight = prior * count
+        world_weights[world_id] = weight
+
+    normalizer = sum(world_weights.values(), Fraction(0))
+    shares = {
+        world_id: weight / normalizer / counts[world_id]
+        for world_id, weight in world_weights.items()
+    }
+    return CenteredCredence(tuple((center, shares[center.world]) for center in centers))
+
+
+def _acceptance_multipliers_by_fractions(e, i, offer, linkage) -> dict[str, Fraction]:
+    """Net acceptances the choice controls per world: same-state plus linked."""
+    offered = partial(offered_at_center, offer)
+    own = count_by_world(e, [i], offered)
+    if isinstance(linkage, SameInfoOnly):
+        return own
+    cls = e.alikeness_class_of(i.observation)
+    if len(cls) > 1:
+        check = _class_check(e, cls)
+        if not check.justified:
+            raise UnjustifiedClassError(
+                f"alikeness class {sorted(cls)} is not justified: {check.reason}"
+            )
+    class_states = [InformationState(obs, agent) for obs in cls for agent in e.agents]
+    linked = count_by_world(e, [state for state in class_states if state != i], offered)
+    factor = 2 * linkage.rho - 1
+    return {w: own.get(w, 0) + factor * linked.get(w, 0) for w in own.keys() | linked.keys()}
+
+
+def decision_weights_by_fractions(
+    agent: AgentSpec, e: Experiment, i: InformationState, offer
+) -> dict[str, Fraction]:
+    """Per-world weight on the bet's net payout: credence times multiplier."""
+    weights: dict[str, Fraction] = {}
+    for center, value in credence_by_fractions(agent.rule, e, i).items():
+        world_id = center.world
+        weights[world_id] = weights[world_id] + value if world_id in weights else value
+    if isinstance(agent.theory, CDT):
+        return weights
+    multipliers = _acceptance_multipliers_by_fractions(e, i, offer, agent.theory.linkage)
+    return {w: value * multipliers.get(w, 0) for w, value in weights.items()}
+
+
+def delta_form_by_fractions(
+    weights: dict[str, Fraction], payoff_event: frozenset[str]
+) -> tuple[Fraction, Fraction]:
+    """(payout_coef, cost_coef) of the delta sum_w weights[w] * net(w)."""
+    return (
+        sum((weights[w] for w in weights if w in payoff_event), Fraction(0)),
+        -sum(weights.values(), Fraction(0)),
+    )
+
+
+def random_coprime_experiment(rng: random.Random) -> Experiment:
+    """Priors over pairwise coprime denominators and unequal awakenings.
+
+    The first worlds get priors a/p for distinct primes p, the last world
+    the remainder. Each agent's awakenings differ from world to world, so
+    the random-awakening halfer's per-world factors differ. Half the time
+    every world has a mirrored twin (prior split evenly) that swaps "red"
+    and "blue", and {red, blue} is declared a class, which is then
+    justified; otherwise the class is declared half the time, and is
+    usually unjustified.
+    """
+    primes = rng.sample([3, 5, 7, 11, 13, 17, 19], rng.randint(1, 3))
+    priors = [F(rng.randint(1, p // 3), p) for p in primes]
+    priors.append(1 - sum(priors))
+    agents = ["alpha", "beta"][: rng.randint(1, 2)]
+    slots = [f"s{k}" for k in range(rng.randint(2, 4))]
+    mirrored = rng.random() < 0.5
+    swap = {"red": "blue", "blue": "red"}
+    worlds: list[tuple[str, Fraction]] = []
+    centers: list[dict] = []
+    for k, prior in enumerate(priors):
+        base = [
+            (slot, agent, rng.choice(["red", "blue", "green"]))
+            for slot in slots
+            for agent in agents
+            if rng.random() < rng.choice([0.3, 0.6, 0.9])
+        ] or [(slots[0], agents[0], "red")]
+        twins = [(f"w{k}", base)]
+        if mirrored:
+            twins.append((f"v{k}", [(s_, a, swap.get(o, o)) for s_, a, o in base]))
+        for world_id, triples in twins:
+            worlds.append((world_id, prior / len(twins)))
+            centers += [
+                {"world": world_id, "slot": s_, "agent": a, "observation": o}
+                for s_, a, o in triples
+            ]
+    used = sorted({c["observation"] for c in centers})
+    pair = [o for o in used if o in swap]
+    classes = [pair] if pair and (mirrored or rng.random() < 0.5) else [[o] for o in pair]
+    classes += [[o] for o in used if o not in swap]
+    return load_experiment(
+        {
+            "worlds": [
+                {"id": wid, "prior": f"{p.numerator}/{p.denominator}"} for wid, p in worlds
+            ],
+            "slots": slots,
+            "agents": agents,
+            "centers": centers,
+            "alikeness": classes,
+        }
+    )

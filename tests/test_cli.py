@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import centerbook
 from centerbook.cli import EXIT_BUDGET, EXIT_DOCUMENT, EXIT_INVARIANT, build_parser, main
 
 
@@ -340,3 +345,89 @@ def test_oversize_bounds_exits_3_with_a_short_message(capsys):
     assert code == EXIT_DOCUMENT
     assert "--bounds" in err and "5000 digits" in err
     assert len(err) < 300
+
+
+SCENARIO = {
+    "worlds": [{"id": "h", "prior": "1/2"}, {"id": "t", "prior": "1/2"}],
+    "slots": ["mon"],
+    "centers": [
+        {"world": "h", "slot": "mon", "observation": "o"},
+        {"world": "t", "slot": "mon", "observation": "o"},
+    ],
+}
+
+
+def write_scenario(tmp_path, text: str):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    return path
+
+
+def test_non_utf8_document_exits_3(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "credence", str(path), "--rule", "thirder", "--obs", "o")
+    assert code == EXIT_DOCUMENT
+    assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+
+
+def test_deeply_nested_document_exits_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, "[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "credence", str(path), "--rule", "thirder", "--obs", "o")
+    assert code == EXIT_DOCUMENT
+    assert err.startswith("error:") and str(path) in err and "nested" in err
+
+
+def test_lone_surrogate_label_exits_3_naming_the_field(tmp_path, capsys):
+    text = json.dumps(SCENARIO).replace('"id": "h"', '"id": "h\\ud800"')
+    path = write_scenario(tmp_path, text)
+    code, _, err = run(capsys, "credence", str(path), "--rule", "thirder", "--obs", "o")
+    assert code == EXIT_DOCUMENT
+    assert f"{path}.worlds[0].id" in err and "surrogate" in err
+    err.encode("utf-8")  # the message itself is printable
+
+
+def test_surrogate_pairs_are_text(tmp_path, capsys):
+    text = json.dumps(SCENARIO).replace('"observation": "o"', '"observation": "\\ud83d\\ude00"')
+    path = write_scenario(tmp_path, text)
+    code, out, _ = run(capsys, "credence", str(path), "--rule", "thirder", "--obs", "\U0001f600")
+    assert code == 0
+    assert "1/2" in out
+
+
+@pytest.mark.parametrize("pre", [1, [1], "yes", False, None])
+@pytest.mark.parametrize("kind", ["book", "template"])
+def test_pre_offer_must_be_true(tmp_path, capsys, kind, pre):
+    bet = {"id": "b", "cost": "1", "payout": "2", "payoff_event": ["h"], "offer": {"pre": pre}}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    book = tmp_path / f"{kind}.json"
+    book.write_text(json.dumps({"bets": [bet]}), encoding="utf-8")
+    command = "simulate" if kind == "book" else "synthesize"
+    code, _, err = run(capsys, command, str(scenario), str(book), "--agent", "thirder+cdt")
+    assert code == EXIT_DOCUMENT
+    assert f"{book}.bets[0].offer.pre: expected true" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        json.dumps(SCENARIO).replace('"id": "h"', '"id": "h\\ud800"').encode(),
+    ],
+    ids=["non-utf8", "deep-nesting", "lone-surrogate"],
+)
+def test_undecodable_documents_exit_3_without_a_traceback(tmp_path, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    src = str(Path(centerbook.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "centerbook.cli", "credence", str(path),
+         "--rule", "thirder", "--obs", "o"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == EXIT_DOCUMENT
+    assert result.stderr.startswith(b"error:") and b"Traceback" not in result.stderr

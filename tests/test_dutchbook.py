@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,21 @@ from centerbook import (
     OnObservation,
     PreExperiment,
     TieRule,
+    UnjustifiedClassError,
     UnknownLabelError,
     check_legitimacy,
     load_book,
     simulate_book,
 )
 from centerbook.dutchbook import LedgerEntry
-from helpers import halfer_cdt, halfer_edt, thirder_cdt
+from helpers import (
+    halfer_cdt,
+    halfer_edt,
+    random_agent,
+    random_coprime_experiment,
+    random_multi_agent_book,
+    thirder_cdt,
+)
 
 F = Fraction
 
@@ -236,3 +245,26 @@ def test_ledger_entry_is_immutable(original_sb, hitchcock_book):
     assert entry == LedgerEntry("bet1", "pre", "beauty", F(-15))
     with pytest.raises(AttributeError):
         entry.net = F(0)
+
+
+def test_ledger_totals_add_nets_over_coprime_denominators():
+    checked = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        e = random_coprime_experiment(rng)
+        drawn = random_multi_agent_book(rng, e)
+
+        def price() -> Fraction:
+            return F(rng.randint(0, 30), rng.choice([1, 2, 3, 5, 7, 11]))
+
+        book = Book(tuple(Bet(b.id, price(), price(), b.payoff_event, b.offer) for b in drawn.bets))
+        try:
+            ledger, verdict = simulate_book(random_agent(rng), e, book, allow_illegitimate=True)
+        except UnjustifiedClassError:
+            continue
+        for world_id in e.world_ids:
+            expected = sum((entry.net for entry in ledger.entries[world_id]), F(0))
+            assert ledger.total(world_id) == expected
+            assert verdict.per_world_totals[world_id] == expected
+            checked += len({entry.net.denominator for entry in ledger.entries[world_id]}) > 1
+    assert checked >= 40
