@@ -97,7 +97,13 @@ def parse_agent(
     return AgentSpec(rule, theory, tie)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, every subcommand registered with its help.
+
+    With ``only`` set to a subcommand name, only that subparser is filled in
+    with its arguments; that is all that parsing an argv which starts with
+    the name needs, and the usage and error text stay those of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="centerbook",
         description=(
@@ -128,48 +134,60 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--linkage", choices=("alike", "same-info"), default="alike")
         p.add_argument("--tie", choices=("reject", "accept"), default="reject")
 
-    p = sub.add_parser("credence", help="print a credence distribution")
-    p.add_argument("scenario")
-    p.add_argument("--rule", choices=sorted(RULES), required=True)
-    p.add_argument("--obs", required=True, help="observation label")
-    p.add_argument("--agent-label", default=None)
-    add_display_flags(p)
+    def fill_credence(p: argparse.ArgumentParser) -> None:
+        p.add_argument("scenario")
+        p.add_argument("--rule", choices=sorted(RULES), required=True)
+        p.add_argument("--obs", required=True, help="observation label")
+        p.add_argument("--agent-label", default=None)
+        add_display_flags(p)
 
-    p = sub.add_parser("evaluate", help="print per-offer deltas and decisions")
-    p.add_argument("scenario")
-    p.add_argument("book")
-    add_agent_flags(p)
-    add_display_flags(p)
+    def fill_evaluate(p: argparse.ArgumentParser) -> None:
+        p.add_argument("scenario")
+        p.add_argument("book")
+        add_agent_flags(p)
+        add_display_flags(p)
 
-    p = sub.add_parser("simulate", help="run a book against an agent")
-    p.add_argument("scenario")
-    p.add_argument("book")
-    add_agent_flags(p)
-    p.add_argument("--allow-illegitimate", action="store_true")
-    add_display_flags(p)
+    def fill_simulate(p: argparse.ArgumentParser) -> None:
+        p.add_argument("scenario")
+        p.add_argument("book")
+        add_agent_flags(p)
+        p.add_argument("--allow-illegitimate", action="store_true")
+        add_display_flags(p)
 
-    p = sub.add_parser("synthesize", help="search payoff space for a Dutch book")
-    p.add_argument("scenario")
-    p.add_argument("template")
-    add_agent_flags(p)
-    p.add_argument("--epsilon", default=None, help='margin "p/q" (default: template)')
-    p.add_argument(
-        "--bounds",
-        default=None,
-        help='default parameter bounds "lo/hi" (default 0/100)',
-    )
-    p.add_argument(
-        "--grid-step",
-        default=None,
-        help='sweep a payoff grid with this step "p/q" instead of solving the LP',
-    )
-    p.add_argument("--max-grid-points", type=int, default=DEFAULT_GRID_BUDGET)
-    add_display_flags(p)
+    def fill_synthesize(p: argparse.ArgumentParser) -> None:
+        p.add_argument("scenario")
+        p.add_argument("template")
+        add_agent_flags(p)
+        p.add_argument("--epsilon", default=None, help='margin "p/q" (default: template)')
+        p.add_argument(
+            "--bounds",
+            default=None,
+            help='default parameter bounds "lo/hi" (default 0/100)',
+        )
+        p.add_argument(
+            "--grid-step",
+            default=None,
+            help='sweep a payoff grid with this step "p/q" instead of solving the LP',
+        )
+        p.add_argument("--max-grid-points", type=int, default=DEFAULT_GRID_BUDGET)
+        add_display_flags(p)
 
-    p = sub.add_parser("reproduce", help="print a bundled reference table by number")
-    p.add_argument("--figure", type=int, choices=sorted(FIGURES), required=True)
-    add_display_flags(p)
+    def fill_reproduce(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--figure", type=int, choices=sorted(FIGURES), required=True)
+        add_display_flags(p)
 
+    for name, help_text, fill in (
+        ("credence", "print a credence distribution", fill_credence),
+        ("evaluate", "print per-offer deltas and decisions", fill_evaluate),
+        ("simulate", "run a book against an agent", fill_simulate),
+        ("synthesize", "search payoff space for a Dutch book", fill_synthesize),
+        ("reproduce", "print a bundled reference table by number", fill_reproduce),
+    ):
+        filled = only is None or only == name
+        # An unfilled subparser never parses, so it skips even its -h flag.
+        p = sub.add_parser(name, help=help_text, add_help=filled)
+        if filled:
+            fill(p)
     return parser
 
 
@@ -288,7 +306,10 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Parsing past a subcommand name reads only that subcommand's arguments.
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except DocumentError as exc:

@@ -149,7 +149,12 @@ def offered_at_center(offer: OfferRule, center: Center) -> bool:
 
 
 def offered_at_state(e: Experiment, offer: OfferRule, i: InformationState) -> bool:
-    return any(offered_at_center(offer, c) for c in consistent_centers(e, i))
+    """Whether the offer is made at some center consistent with ``i``."""
+    centers = consistent_centers(e, i)
+    if isinstance(offer, OnObservation) and offer.slots is None:
+        # Decided by what the state fixes: at all of its centers or at none.
+        return bool(centers) and offered_at_center(offer, centers[0])
+    return any(offered_at_center(offer, c) for c in centers)
 
 
 def _class_check(e: Experiment, cls: frozenset[str]) -> AlikenessCheck:

@@ -1,17 +1,20 @@
 """Books of bets: legitimacy checking, world-by-world simulation, verdicts.
 
 A book is Dutch against an agent exactly when she accepts every offer it
-makes and still comes out strictly behind in every world. Simulation walks
-each world slot by slot, querying the agent once per distinguishable
-situation: decisions are memoized per (information state, bet), since an
-agent with the same information and the same bet in front of her decides
-the same way every time.
+makes and still comes out strictly behind in every world. An offer may
+depend only on what the agent knows, her information state, so an offer
+without a slot restriction is made at all of a state's centers or at none,
+and an agent with the same information and the same bet in front of her
+decides the same way every time. Simulation therefore decides each bet once
+per information state and walks each world slot by slot, adding at each
+center the bets its state accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping
 
@@ -76,14 +79,23 @@ class Ledger:
 
     entries: Mapping[str, tuple[LedgerEntry, ...]]
 
+    @cached_property
+    def _totals(self) -> dict[str, Fraction]:
+        """Each world's sum of nets, added as integers over the lcm of their denominators."""
+        totals = {}
+        for world_id, entries in self.entries.items():
+            nets = [entry.net for entry in entries]
+            scale = lcm(*(net.denominator for net in nets))
+            totals[world_id] = Fraction(
+                sum(net.numerator * (scale // net.denominator) for net in nets), scale
+            )
+        return totals
+
     def total(self, world_id: str) -> Fraction:
-        """The world's sum of nets, added as integers over the lcm of their denominators."""
-        nets = [entry.net for entry in self.entries[world_id]]
-        scale = lcm(*(net.denominator for net in nets))
-        return Fraction(sum(net.numerator * (scale // net.denominator) for net in nets), scale)
+        return self._totals[world_id]
 
     def totals(self) -> dict[str, Fraction]:
-        return {world_id: self.total(world_id) for world_id in self.entries}
+        return dict(self._totals)
 
 
 @dataclass(frozen=True)
@@ -136,10 +148,14 @@ def check_legitimacy(e: Experiment, book: Book) -> LegitimacyCheck:
 
     Concretely: for any two centers an agent cannot tell apart (same
     observation, same agent), a bet must be offered at both or at neither.
-    Pre-experiment offers are always legitimate.
+    Pre-experiment offers are always legitimate, and so is an offer without
+    a slot restriction, which only the observation and agent decide; only
+    slot-restricted offers are checked center by center.
     """
     validate_book(e, book)
     for bet in book.in_experiment_bets:
+        if bet.offer.slots is None:
+            continue
         for state in e.information_states():
             centers = consistent_centers(e, state)
             offered = [c for c in centers if offered_at_center(bet.offer, c)]
@@ -160,7 +176,16 @@ def check_legitimacy(e: Experiment, book: Book) -> LegitimacyCheck:
 def simulate_book(
     agent: AgentSpec, e: Experiment, book: Book, allow_illegitimate: bool = False
 ) -> tuple[Ledger, DutchBookVerdict]:
-    """Run the book against the agent in every world and judge the outcome."""
+    """Run the book against the agent in every world and judge the outcome.
+
+    Each bet is decided once per information state, at the first center of
+    the state in the walk (worlds in order, then slots, then agents) where it
+    is offered; so decisions happen in walk order, and the first error raised
+    is the one that walk meets first. A world's ledger lists its centers in
+    slot order, agents in declaration order within a slot, each followed by
+    the bets its state accepts in book order; a slot-restricted bet is added
+    only at the centers whose slot it names.
+    """
     validate_book(e, book)
     if not allow_illegitimate:
         check = check_legitimacy(e, book)
@@ -171,16 +196,26 @@ def simulate_book(
         (PRE_SLOT, bet.id): evaluate_pre_experiment(agent, e, bet) for bet in book.pre_bets
     }
 
-    def decide_at(center: Center, bet: Bet) -> Decision:
+    def accepts(center: Center, bet: Bet) -> bool:
         key = (center.observation, center.agent, bet.id)
         if key not in decisions:
             state = InformationState(center.observation, center.agent)
             decisions[key] = evaluate_offer(agent, e, state, bet)
-        return decisions[key]
+        return decisions[key].accept
+
+    def state_bets(center: Center) -> list[Bet]:
+        """The accepted unrestricted bets of the center's state, and every slot-restricted bet."""
+        return [
+            bet
+            for bet in in_experiment_bets
+            if bet.offer.slots is not None
+            or (offered_at_center(bet.offer, center) and accepts(center, bet))
+        ]
 
     pre_bets, in_experiment_bets = book.pre_bets, book.in_experiment_bets
     # Each bet's net in a world outside its payoff event, then inside it.
     nets = {bet.id: (-bet.cost, bet.payout - bet.cost) for bet in book.bets}
+    by_state: dict[tuple[str, str], list[Bet]] = {}
     entries: dict[str, tuple[LedgerEntry, ...]] = {}
     for world in e.worlds:
         world_entries: list[LedgerEntry] = []
@@ -194,10 +229,13 @@ def simulate_book(
                 center = e.center_at(world.id, slot, agent_label)
                 if center is None:
                     continue
-                for bet in in_experiment_bets:
-                    if not offered_at_center(bet.offer, center):
-                        continue
-                    if decide_at(center, bet).accept:
+                key = (center.observation, agent_label)
+                if key not in by_state:
+                    by_state[key] = state_bets(center)
+                for bet in by_state[key]:
+                    if bet.offer.slots is None or (
+                        offered_at_center(bet.offer, center) and accepts(center, bet)
+                    ):
                         net = nets[bet.id][world.id in bet.payoff_event]
                         world_entries.append(LedgerEntry(bet.id, slot, agent_label, net))
         entries[world.id] = tuple(world_entries)

@@ -27,6 +27,7 @@ from .errors import DocumentError, InvariantError, UnknownLabelError
 from .rationals import format_rational, parse_rational
 
 DEFAULT_AGENT = "beauty"
+_CENTER_KEYS = frozenset({"world", "slot", "observation", "agent"})
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,37 @@ class Experiment:
     _alikeness_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate(self)
-        scale = lcm(*(world.prior.denominator for world in self.worlds))
+        """Check the invariants and fill the lookup tables, one pass over the centers."""
+        world_by_id = _checked_worlds(self.worlds)
+        for name, labels in (("slots", self.slots), ("agents", self.agents)):
+            if not labels:
+                raise InvariantError(f"{name}: at least one label is required")
+            if len(set(labels)) != len(labels):
+                raise InvariantError(f"{name}: duplicate labels in {list(labels)}")
+        slots, agents = set(self.slots), set(self.agents)
+        by_triple: dict[tuple[str, str, str], Center] = {}
         by_state: dict[tuple[str, str], list[Center]] = {}
         for c in self.centers:
-            by_state.setdefault((c.observation, c.agent), []).append(c)
+            world, slot, agent = triple = (c.world, c.slot, c.agent)
+            if world not in world_by_id:
+                raise InvariantError(f"centers: unknown world {world!r}")
+            if slot not in slots:
+                raise InvariantError(f"centers: unknown slot {slot!r}")
+            if agent not in agents:
+                raise InvariantError(f"centers: unknown agent {agent!r}")
+            if triple in by_triple:
+                raise InvariantError(f"centers: duplicate (world, slot, agent) {triple}")
+            by_triple[triple] = c
+            by_state.setdefault((c.observation, agent), []).append(c)
+        observations = frozenset(observation for observation, _ in by_state)
+        _check_alikeness(self.alikeness, observations)
+        scale = lcm(*(world.prior.denominator for world in self.worlds))
         tables = {
-            "_world_by_id": {world.id: world for world in self.worlds},
-            "_center_by_triple": {(c.world, c.slot, c.agent): c for c in self.centers},
+            "_world_by_id": world_by_id,
+            "_center_by_triple": by_triple,
             "_centers_by_state": {key: tuple(group) for key, group in by_state.items()},
-            "_agent_counts": Counter((c.world, c.agent) for c in self.centers),
-            "_observations": frozenset(observation for observation, _ in by_state),
+            "_agent_counts": Counter((world, agent) for world, _, agent in by_triple),
+            "_observations": observations,
             "_states": tuple(InformationState(*key) for key in by_state),
             "_priors": WorldWeights({w.id: int(w.prior * scale) for w in self.worlds}, scale),
             "_alikeness_checks": {},
@@ -146,45 +167,30 @@ class AlikenessCheck:
         return self.justified
 
 
-def _validate(e: Experiment) -> None:
-    if not e.worlds:
+def _checked_worlds(worlds: tuple[World, ...]) -> dict[str, World]:
+    """Worlds by id, once ids are distinct and the priors positive and summing to 1."""
+    if not worlds:
         raise InvariantError("worlds: at least one world is required")
-    seen_worlds: set[str] = set()
-    for world in e.worlds:
-        if world.id in seen_worlds:
+    by_id: dict[str, World] = {}
+    for world in worlds:
+        if world.id in by_id:
             raise InvariantError(f"worlds: duplicate id {world.id!r}")
-        seen_worlds.add(world.id)
+        by_id[world.id] = world
         if world.prior <= 0:
             raise InvariantError(
                 f"worlds: prior of {world.id!r} must be > 0, got "
                 f"{format_rational(world.prior)}"
             )
-    total = sum((world.prior for world in e.worlds), Fraction(0))
+    total = sum((world.prior for world in worlds), Fraction(0))
     if total != 1:
         raise InvariantError(f"worlds: priors sum to {format_rational(total)}, expected 1")
+    return by_id
 
-    for name, labels in (("slots", e.slots), ("agents", e.agents)):
-        if not labels:
-            raise InvariantError(f"{name}: at least one label is required")
-        if len(set(labels)) != len(labels):
-            raise InvariantError(f"{name}: duplicate labels in {list(labels)}")
 
-    seen_triples: set[tuple[str, str, str]] = set()
-    for center in e.centers:
-        if center.world not in seen_worlds:
-            raise InvariantError(f"centers: unknown world {center.world!r}")
-        if center.slot not in e.slots:
-            raise InvariantError(f"centers: unknown slot {center.slot!r}")
-        if center.agent not in e.agents:
-            raise InvariantError(f"centers: unknown agent {center.agent!r}")
-        triple = (center.world, center.slot, center.agent)
-        if triple in seen_triples:
-            raise InvariantError(f"centers: duplicate (world, slot, agent) {triple}")
-        seen_triples.add(triple)
-
-    used = {center.observation for center in e.centers}
+def _check_alikeness(alikeness: tuple[frozenset[str], ...], used: frozenset[str]) -> None:
+    """The classes must partition exactly the observations the centers use."""
     declared: set[str] = set()
-    for cls in e.alikeness:
+    for cls in alikeness:
         if not cls:
             raise InvariantError("alikeness: empty class")
         overlap = declared & cls
@@ -332,28 +338,13 @@ def load_experiment(source) -> Experiment:
     slots = _label_list(doc, "slots", where)
     agents = _label_list(doc, "agents", where) if "agents" in doc else [DEFAULT_AGENT]
 
+    lone_agent = agents[0] if len(agents) == 1 else None
     centers = []
     for index, entry in enumerate(list_field(doc, "centers", where)):
-        sub = f"{where}.centers[{index}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{sub}: expected an object")
-        require_keys(entry, sub, required={"world", "slot", "observation"}, optional={"agent"})
-        if "agent" in entry:
-            agent = string_field(entry, "agent", sub)
-        elif len(agents) == 1:
-            agent = agents[0]
-        else:
-            raise DocumentError(
-                f"{sub}: agent is required when the experiment declares several agents"
-            )
-        centers.append(
-            Center(
-                string_field(entry, "world", sub),
-                string_field(entry, "slot", sub),
-                agent,
-                string_field(entry, "observation", sub),
-            )
-        )
+        center = _typed_center(entry, lone_agent)
+        if center is None:
+            center = _checked_center(entry, f"{where}.centers[{index}]", agents)
+        centers.append(center)
 
     if "alikeness" in doc:
         alikeness = [
@@ -369,6 +360,45 @@ def load_experiment(source) -> Experiment:
         agents=tuple(agents),
         centers=tuple(centers),
         alikeness=tuple(alikeness),
+    )
+
+
+def _typed_center(entry: object, lone_agent: str | None) -> Center | None:
+    """The center a well-formed entry describes in one typed pass; None for any other.
+
+    Well-formed: an object whose keys are among world, slot, observation and
+    agent, whose values are non-empty strings, and whose agent may be left
+    out only when the experiment has one agent.
+    """
+    if not isinstance(entry, dict) or not entry.keys() <= _CENTER_KEYS:
+        return None
+    world, slot, observation = entry.get("world"), entry.get("slot"), entry.get("observation")
+    agent = entry.get("agent", lone_agent)
+    if type(world) is type(slot) is type(agent) is type(observation) is str and all(
+        (world, slot, agent, observation)
+    ):
+        return Center(world, slot, agent, observation)
+    return None
+
+
+def _checked_center(entry: object, where: str, agents: list[str]) -> Center:
+    """The center an entry describes, checked key by key so that an error names the fault."""
+    if not isinstance(entry, dict):
+        raise DocumentError(f"{where}: expected an object")
+    require_keys(entry, where, required={"world", "slot", "observation"}, optional={"agent"})
+    if "agent" in entry:
+        agent = string_field(entry, "agent", where)
+    elif len(agents) == 1:
+        agent = agents[0]
+    else:
+        raise DocumentError(
+            f"{where}: agent is required when the experiment declares several agents"
+        )
+    return Center(
+        string_field(entry, "world", where),
+        string_field(entry, "slot", where),
+        agent,
+        string_field(entry, "observation", where),
     )
 
 

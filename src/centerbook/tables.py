@@ -88,22 +88,18 @@ def ledger_rows(
 ) -> list[list[str]]:
     rows = [world_header(e, decimal)]
     multi_agent = len(e.agents) > 1
-
-    def cell(world_id: str, slot: str) -> str:
-        parts = []
-        for entry in ledger.entries[world_id]:
-            if entry.slot != slot:
-                continue
+    columns = []  # per world, its cells by slot
+    for world in e.worlds:
+        parts: dict[str, list[str]] = {}
+        for entry in ledger.entries[world.id]:
             amount = format_rational(entry.net, decimal)
-            if multi_agent:
-                parts.append(f"{entry.bet_id} ({entry.agent}): {amount}")
-            else:
-                parts.append(f"{entry.bet_id}: {amount}")
-        return "; ".join(parts) if parts else EMPTY_CELL
+            who = f" ({entry.agent})" if multi_agent else ""
+            parts.setdefault(entry.slot, []).append(f"{entry.bet_id}{who}: {amount}")
+        columns.append({slot: "; ".join(cell) for slot, cell in parts.items()})
 
     slots = ([PRE_SLOT] if book.pre_bets else []) + list(e.slots)
     for slot in slots:
-        rows.append([slot] + [cell(world.id, slot) for world in e.worlds])
+        rows.append([slot] + [column.get(slot, EMPTY_CELL) for column in columns])
     rows.append(
         ["total"]
         + [format_rational(ledger.total(world.id), decimal) for world in e.worlds]

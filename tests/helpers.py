@@ -28,9 +28,13 @@ from centerbook import (
     consistent_centers,
     credence,
     load_experiment,
+    verify_alikeness,
 )
 from centerbook.decision import _class_check, offered_at_center
-from centerbook.model import count_by_world
+from centerbook.docio import list_field, read_document, require_keys, string_field, string_list
+from centerbook.errors import DocumentError, InvariantError
+from centerbook.model import DEFAULT_AGENT, World, _label_list, count_by_world
+from centerbook.rationals import format_rational, parse_rational
 
 F = Fraction
 
@@ -321,8 +325,15 @@ def random_agent(rng: random.Random) -> AgentSpec:
     return AgentSpec(rng.choice(list(CredenceRule)), theory, tie)
 
 
-def random_multi_agent_book(rng: random.Random, e: Experiment) -> Book:
-    """Zero or one pre-experiment bet, then one to three bets on observations."""
+def random_multi_agent_book(
+    rng: random.Random, e: Experiment, restrict_slots: bool = False
+) -> Book:
+    """Zero or one pre-experiment bet, then one to three bets on observations.
+
+    With ``restrict_slots``, each bet on observations is offered only at a
+    random nonempty subset of the slots half the time, which usually makes
+    the book illegitimate.
+    """
 
     def event() -> frozenset[str]:
         return frozenset(wid for wid in e.world_ids if rng.random() < 0.5)
@@ -337,7 +348,11 @@ def random_multi_agent_book(rng: random.Random, e: Experiment) -> Book:
     for k in range(rng.randint(1, 3)):
         offered = rng.sample(observations, rng.randint(1, len(observations)))
         agent = rng.choice([None, *e.agents])
-        bets.append(Bet(f"b{k}", *payoffs(), event(), OnObservation(frozenset(offered), agent)))
+        slots = None
+        if restrict_slots and rng.random() < 0.5:
+            slots = frozenset(rng.sample(e.slots, rng.randint(1, len(e.slots))))
+        offer = OnObservation(frozenset(offered), agent, slots)
+        bets.append(Bet(f"b{k}", *payoffs(), event(), offer))
     return Book(tuple(bets))
 
 
@@ -434,6 +449,41 @@ def ledger_by_walk(agent: AgentSpec, e: Experiment, book: Book) -> dict[str, lis
                     rows.append((bet.id, c.slot, c.agent, bet.net(world.id)))
         entries[world.id] = rows
     return entries
+
+
+def unjustified_error_by_walk(e: Experiment, book: Book) -> str | None:
+    """The UnjustifiedClassError message an alike-linked agent meets first, if any.
+
+    The walk is ledger_by_walk's: worlds in order, each world's centers in
+    slot order, agents in declaration order within a slot, offered bets in
+    book order. The first decision taken in a non-singleton class that
+    fails verification raises.
+    """
+    for world in e.worlds:
+        walk = sorted(
+            (c for c in e.centers if c.world == world.id),
+            key=lambda c: (e.slots.index(c.slot), e.agents.index(c.agent)),
+        )
+        for c in walk:
+            if not any(offered_at_center(bet.offer, c) for bet in book.in_experiment_bets):
+                continue
+            cls = e.alikeness_class_of(c.observation)
+            check = verify_alikeness(e, cls)
+            if len(cls) > 1 and not check.justified:
+                return f"alikeness class {sorted(cls)} is not justified: {check.reason}"
+    return None
+
+
+def legitimate_by_scan(e: Experiment, book: Book) -> bool:
+    """Each in-experiment bet is offered at all of a state's centers or at none."""
+    for bet in book.in_experiment_bets:
+        for state in information_states_by_scan(e):
+            offered = {
+                offered_at_center(bet.offer, c) for c in consistent_centers_by_scan(e, state)
+            }
+            if len(offered) > 1:
+                return False
+    return True
 
 
 def phase_one_by_fractions(
@@ -655,3 +705,206 @@ def random_coprime_experiment(rng: random.Random) -> Experiment:
             "alikeness": classes,
         }
     )
+
+
+# The scenario loader before centers took one typed pass and the Experiment
+# validated and indexed in one loop: every center checked key by key, then
+# every invariant checked on its own before the Experiment is built.
+
+
+def load_experiment_by_checks(source) -> Experiment:
+    """load_experiment with a per-key check of every center and a separate validation."""
+    doc, where = read_document(source)
+    require_keys(
+        doc, where, required={"worlds", "slots", "centers"}, optional={"agents", "alikeness"}
+    )
+    worlds = []
+    for index, entry in enumerate(list_field(doc, "worlds", where)):
+        sub = f"{where}.worlds[{index}]"
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{sub}: expected an object")
+        require_keys(entry, sub, required={"id", "prior"})
+        worlds.append(
+            World(string_field(entry, "id", sub), parse_rational(entry["prior"], f"{sub}.prior"))
+        )
+    slots = _label_list(doc, "slots", where)
+    agents = _label_list(doc, "agents", where) if "agents" in doc else [DEFAULT_AGENT]
+    centers = []
+    for index, entry in enumerate(list_field(doc, "centers", where)):
+        sub = f"{where}.centers[{index}]"
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{sub}: expected an object")
+        require_keys(entry, sub, required={"world", "slot", "observation"}, optional={"agent"})
+        if "agent" in entry:
+            agent = string_field(entry, "agent", sub)
+        elif len(agents) == 1:
+            agent = agents[0]
+        else:
+            raise DocumentError(
+                f"{sub}: agent is required when the experiment declares several agents"
+            )
+        centers.append(
+            Center(
+                string_field(entry, "world", sub),
+                string_field(entry, "slot", sub),
+                agent,
+                string_field(entry, "observation", sub),
+            )
+        )
+    if "alikeness" in doc:
+        alikeness = [
+            frozenset(string_list(entry, f"{where}.alikeness[{index}]", "observation labels"))
+            for index, entry in enumerate(list_field(doc, "alikeness", where))
+        ]
+    else:
+        alikeness = [frozenset([obs]) for obs in dict.fromkeys(c.observation for c in centers)]
+    fields = dict(
+        worlds=tuple(worlds),
+        slots=tuple(slots),
+        agents=tuple(agents),
+        centers=tuple(centers),
+        alikeness=tuple(alikeness),
+    )
+    validate_by_checks(**fields)
+    return Experiment(**fields)
+
+
+def validate_by_checks(worlds, slots, agents, centers, alikeness) -> None:
+    """Every Experiment invariant, checked with its own set and tuple lookups."""
+    if not worlds:
+        raise InvariantError("worlds: at least one world is required")
+    seen_worlds: set[str] = set()
+    for world in worlds:
+        if world.id in seen_worlds:
+            raise InvariantError(f"worlds: duplicate id {world.id!r}")
+        seen_worlds.add(world.id)
+        if world.prior <= 0:
+            raise InvariantError(
+                f"worlds: prior of {world.id!r} must be > 0, got "
+                f"{format_rational(world.prior)}"
+            )
+    total = sum((world.prior for world in worlds), Fraction(0))
+    if total != 1:
+        raise InvariantError(f"worlds: priors sum to {format_rational(total)}, expected 1")
+    for name, labels in (("slots", slots), ("agents", agents)):
+        if not labels:
+            raise InvariantError(f"{name}: at least one label is required")
+        if len(set(labels)) != len(labels):
+            raise InvariantError(f"{name}: duplicate labels in {list(labels)}")
+    seen_triples: set[tuple[str, str, str]] = set()
+    for center in centers:
+        if center.world not in seen_worlds:
+            raise InvariantError(f"centers: unknown world {center.world!r}")
+        if center.slot not in slots:
+            raise InvariantError(f"centers: unknown slot {center.slot!r}")
+        if center.agent not in agents:
+            raise InvariantError(f"centers: unknown agent {center.agent!r}")
+        triple = (center.world, center.slot, center.agent)
+        if triple in seen_triples:
+            raise InvariantError(f"centers: duplicate (world, slot, agent) {triple}")
+        seen_triples.add(triple)
+    used = {center.observation for center in centers}
+    declared: set[str] = set()
+    for cls in alikeness:
+        if not cls:
+            raise InvariantError("alikeness: empty class")
+        overlap = declared & cls
+        if overlap:
+            raise InvariantError(
+                f"alikeness: observation(s) {sorted(overlap)} appear in more than one class"
+            )
+        declared |= cls
+    if declared != used:
+        extra = declared - used
+        missing = used - declared
+        if extra:
+            raise InvariantError(
+                f"alikeness: class label(s) {sorted(extra)} are used by no center"
+            )
+        raise InvariantError(
+            f"alikeness: observation(s) {sorted(missing)} belong to no class"
+        )
+
+
+# Values a mutated scenario puts where a label belongs.
+BAD_LABELS = ["", 0, 1.5, None, True, ["w0"], {"id": "w0"}]
+
+
+def random_scenario_document(rng: random.Random) -> dict:
+    """A scenario document, well formed about one time in four, else mutated once or twice.
+
+    Mutations cover every check a center goes through (not an object,
+    missing or unknown key, empty or non-string label, missing agent among
+    several, unknown or duplicate labels) and the document-level invariants
+    (duplicate ids and labels, priors, alikeness classes).
+    """
+    n_agents = rng.randint(1, 3)
+    agents = ["alpha", "beta", "gamma"][:n_agents]
+    declare_agents = n_agents > 1 or rng.random() < 0.5
+    if not declare_agents:
+        agents = ["beauty"]
+    worlds = [f"w{k}" for k in range(rng.randint(1, 4))]
+    slots = [f"s{k}" for k in range(rng.randint(1, 3))]
+    pool = ["red", "blue", "green"][: rng.randint(1, 3)]
+    centers = []
+    for world in worlds:
+        for slot in slots:
+            for agent in agents:
+                if rng.random() < 0.7:
+                    center = {"world": world, "slot": slot, "observation": rng.choice(pool)}
+                    if n_agents > 1 or rng.random() < 0.5:
+                        center["agent"] = agent
+                    centers.append(dict(rng.sample(list(center.items()), len(center))))
+    if not centers:
+        centers.append({"world": worlds[0], "slot": slots[0], "agent": agents[0],
+                        "observation": pool[0]})
+    doc: dict = {
+        "worlds": [{"id": w, "prior": f"1/{len(worlds)}"} for w in worlds],
+        "slots": slots,
+        "centers": centers,
+    }
+    if declare_agents:
+        doc["agents"] = agents
+    if rng.random() < 0.5:
+        used = sorted({c["observation"] for c in centers})
+        doc["alikeness"] = [used] if rng.random() < 0.5 else [[o] for o in used]
+    if rng.random() < 0.25:
+        return doc
+    for _ in range(rng.randint(1, 2)):
+        _mutate(rng, doc)
+    return doc
+
+
+def _mutate(rng: random.Random, doc: dict) -> None:
+    if not all(isinstance(doc[key], list) and doc[key] for key in ("worlds", "slots", "centers")):
+        return  # an earlier mutation replaced a whole list
+    centers = doc["centers"]
+    index = rng.randrange(len(centers))
+    center = centers[index]
+    kind = rng.randrange(12)
+    if kind == 0:
+        centers[index] = rng.choice(["center", 7, None, [center]])
+    elif kind == 1 and isinstance(center, dict) and center:
+        del center[rng.choice(sorted(center))]
+    elif kind == 2 and isinstance(center, dict):
+        center[rng.choice(["colour", "Agent", "worlds", "pre"])] = "x"
+    elif kind == 3 and isinstance(center, dict):
+        center[rng.choice(["world", "slot", "observation", "agent"])] = rng.choice(BAD_LABELS)
+    elif kind == 4 and isinstance(center, dict):
+        center[rng.choice(["world", "slot", "agent"])] = "ghost"
+    elif kind == 5:
+        centers.insert(rng.randrange(len(centers) + 1), dict(center) if isinstance(
+            center, dict) else center)
+    elif kind == 6:
+        doc["worlds"].append(dict(rng.choice(doc["worlds"])))
+    elif kind == 7:
+        doc["slots"].append(rng.choice(doc["slots"]))
+    elif kind == 8:
+        world = rng.choice(doc["worlds"])
+        world["prior"] = rng.choice(["0", "2", "1/7", "-1/2"])
+    elif kind == 9:
+        doc["alikeness"] = rng.choice([[[]], [["red"], ["red"]], [["ghost"]], [["red"]]])
+    elif kind == 10:
+        doc["agents"] = rng.choice([[], ["alpha", "alpha"], ["alpha", "beta"], [""]])
+    else:
+        doc[rng.choice(["worlds", "slots", "centers"])] = rng.choice([[], "x", None])

@@ -41,6 +41,46 @@ def test_parser_defaults():
     assert not args.allow_illegitimate
 
 
+SUBCOMMANDS = ("credence", "evaluate", "simulate", "synthesize", "reproduce")
+
+
+def _exit_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["frobnicate"],
+        ["simulatee", "a.json"],
+        *[[name, "--help"] for name in SUBCOMMANDS],
+        ["credence", "s.json", "--rule", "quarter", "--obs", "o"],
+        ["evaluate", "s.json", "b.json"],
+        ["simulate", "s.json", "b.json", "--agent", "halfer+cdt", "--bogus"],
+        ["synthesize", "s.json", "t.json", "--agent", "halfer+cdt", "--max-grid-points", "x"],
+        ["reproduce", "--figure", "5"],
+    ],
+)
+def test_help_and_usage_text_match_the_full_parser(capsys, argv):
+    expected = _exit_output(capsys, build_parser().parse_args, argv)
+    assert _exit_output(capsys, main, argv) == expected
+    assert expected[1] or expected[2]
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    argv = ["reproduce", "--figure", "4"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["centerbook", *argv])
+    assert main() == expected[0]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == expected[1:]
+
+
 def test_credence_subcommand(capsys):
     code, out, _ = run(
         capsys, "credence", "builtin:wbg", "--rule", "thirder", "--obs", "white"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerbook import (
+    CenterbookError,
+    DocumentError,
+    Experiment,
     InformationState,
     InvariantError,
     UnknownLabelError,
@@ -18,8 +22,10 @@ from centerbook import (
 )
 from helpers import (
     alikeness_by_exhaustive_search,
+    load_experiment_by_checks,
     random_agent_twin_experiment,
     random_multi_agent_experiment,
+    random_scenario_document,
     random_uniform_info_experiment,
 )
 
@@ -80,6 +86,113 @@ def test_center_must_reference_known_labels():
         load_experiment({**base, "centers": [{"world": "zz", "slot": "s", "observation": "o"}]})
     with pytest.raises(InvariantError, match="unknown slot"):
         load_experiment({**base, "centers": [{"world": "a", "slot": "zz", "observation": "o"}]})
+
+
+def _scenario(centers: list, agents: list[str] | None = None) -> dict:
+    doc = {"worlds": [{"id": "a", "prior": "1"}], "slots": ["s"], "centers": centers}
+    if agents is not None:
+        doc["agents"] = agents
+    return doc
+
+
+GOOD_CENTER = {"world": "a", "slot": "s", "agent": "alpha", "observation": "o"}
+
+
+@pytest.mark.parametrize(
+    ("entry", "agents", "message"),
+    [
+        ("center", None, "<document>.centers[1]: expected an object"),
+        ([GOOD_CENTER], None, "<document>.centers[1]: expected an object"),
+        (None, None, "<document>.centers[1]: expected an object"),
+        (
+            {"world": "a", "observation": "o"},
+            None,
+            "<document>.centers[1]: missing key(s) ['slot']",
+        ),
+        ({}, None, "<document>.centers[1]: missing key(s) ['observation', 'slot', 'world']"),
+        (
+            {"world": "a", "slot": "s", "observation": "o", "colour": "red"},
+            None,
+            "<document>.centers[1]: unknown key(s) ['colour']",
+        ),
+        (
+            {"world": "a", "observation": "o", "colour": "red"},
+            None,
+            "<document>.centers[1]: missing key(s) ['slot']",
+        ),
+        (
+            {"world": "", "slot": "s", "observation": "o"},
+            None,
+            "<document>.centers[1].world: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": 3, "observation": "o"},
+            None,
+            "<document>.centers[1].slot: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": "s", "observation": None},
+            None,
+            "<document>.centers[1].observation: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": "s", "observation": ["o"]},
+            None,
+            "<document>.centers[1].observation: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": "s", "agent": "", "observation": "o"},
+            ["alpha"],
+            "<document>.centers[1].agent: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": "s", "agent": None, "observation": "o"},
+            None,
+            "<document>.centers[1].agent: expected a non-empty string",
+        ),
+        (
+            {"world": 1, "slot": "", "agent": 2, "observation": "o"},
+            ["alpha", "beta"],
+            "<document>.centers[1].agent: expected a non-empty string",
+        ),
+        (
+            {"world": 1, "slot": "", "observation": "o"},
+            None,
+            "<document>.centers[1].world: expected a non-empty string",
+        ),
+        (
+            {"world": "a", "slot": "s", "observation": "o"},
+            ["alpha", "beta"],
+            "<document>.centers[1]: agent is required when the experiment declares "
+            "several agents",
+        ),
+    ],
+)
+def test_malformed_center_error_text(entry, agents, message):
+    first = dict(GOOD_CENTER)
+    if agents is None:
+        del first["agent"]
+    with pytest.raises(DocumentError) as info:
+        load_experiment(_scenario([first, entry], agents))
+    assert str(info.value) == message
+
+
+def _load_outcome(load, doc):
+    try:
+        return load(copy.deepcopy(doc))
+    except CenterbookError as exc:
+        return type(exc), str(exc)
+
+
+def test_typed_load_matches_checked_load():
+    """Equal Experiments, or the same first error, as the per-key checks give."""
+    loaded = 0
+    for seed in range(600):
+        doc = random_scenario_document(random.Random(seed))
+        expected = _load_outcome(load_experiment_by_checks, doc)
+        assert _load_outcome(load_experiment, doc) == expected, seed
+        loaded += isinstance(expected, Experiment)
+    assert 100 <= loaded <= 300
 
 
 def test_alikeness_must_partition_used_observations():
